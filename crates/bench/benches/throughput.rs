@@ -18,6 +18,8 @@ use xbc_bench::bench_trace;
 use xbc_frontend::{Frontend, IcFrontend, IcFrontendConfig, TcConfig, TraceCacheFrontend};
 use xbc_isa::{decode, Addr, Inst};
 use xbc_predict::{Gshare, GshareConfig};
+use xbc_store::Store;
+use xbc_workload::standard_traces;
 
 const TRACE_INSTS: usize = 50_000;
 const RUNS: usize = 5;
@@ -125,6 +127,24 @@ fn frontends() -> (u64, Vec<Case>) {
             fe.run(&trace);
         }),
     );
+
+    // The same trace replayed from its XBT1 store entry, the way sweeps
+    // and the daemon replay: every iteration pays the store's validation
+    // pass, the block decode and the streaming oracle window on top of
+    // the XBC model, so a regression on the decode path shows here.
+    let dir = std::env::temp_dir().join(format!("xbc-throughput-{}", std::process::id()));
+    let store = Store::open(&dir).expect("create a scratch store");
+    let spec = &standard_traces()[0]; // what `bench_trace` captures
+    store.capture_to_store(spec, TRACE_INSTS, |_, _| {}).expect("capture the bench trace");
+    case(
+        "xbc_32k_streamed",
+        measure(3, || {
+            let mut stream = store.open_trace_stream(spec, TRACE_INSTS).expect("entry streams");
+            let m = XbcFrontend::new(XbcConfig::default()).run_streamed(&mut stream);
+            assert_eq!(m.total_uops(), uops, "streamed replay delivers the bench trace");
+        }),
+    );
+    std::fs::remove_dir_all(&dir).ok();
     println!();
     (uops, cases)
 }

@@ -149,8 +149,9 @@ impl<'a> OracleStream<'a> {
     /// `lookahead` instructions past the cursor are buffered (or the
     /// source is exhausted). The consumed prefix is dropped with
     /// `Vec::drain` (a memmove within the existing allocation) and the
-    /// tail is topped up to `cap`, so steady-state refills never touch
-    /// the heap.
+    /// tail is topped up to `cap` by batched [`InstSource::fill`] calls,
+    /// which never append past the window's capacity, so steady-state
+    /// refills never touch the heap.
     fn refill(&mut self) {
         if self.eof {
             return;
@@ -165,12 +166,10 @@ impl<'a> OracleStream<'a> {
         }
         let src = self.source.as_deref_mut().expect("refill is streaming-only");
         while self.window.len() < self.cap {
-            match src.next_inst() {
-                Some(d) => self.window.push(d),
-                None => {
-                    self.eof = true;
-                    break;
-                }
+            let room = self.cap - self.window.len();
+            if src.fill(&mut self.window, room) == 0 {
+                self.eof = true;
+                break;
             }
         }
     }

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -677,12 +677,16 @@ impl Store {
     /// whole `Trace`. Because a mid-replay decode error would surface as
     /// a panic deep inside a simulation (`TraceStream` fails loudly by
     /// contract), the entry is fully validated *first*: one streaming
-    /// scan over every record, checking the header identity and the
-    /// CRC32 trailer in O(1) memory. A corrupt or mismatched entry is
-    /// evicted and reported as `None`, exactly like [`Store::load_trace`];
-    /// the returned stream then replays a file known good moments ago,
-    /// so a panic mid-replay means truly concurrent corruption, which is
-    /// worth being loud about.
+    /// decode of every record, checking the header identity and the
+    /// CRC32 trailer in O(block) memory. That pass is not cheap — it
+    /// decodes the whole trace, as much work again as the replay's own
+    /// decode. A corrupt or mismatched entry is evicted and reported as
+    /// `None`, exactly like [`Store::load_trace`]; otherwise the same file
+    /// handle is rewound for the returned stream, so the replay reads the
+    /// very file that was validated (a rename onto the entry's path in
+    /// between cannot swap in unvalidated bytes). A panic mid-replay then
+    /// means truly concurrent corruption, which is worth being loud
+    /// about.
     ///
     /// An absent entry returns `None` *without* counting a miss, so a
     /// caller falling back to [`Store::get_or_capture`] doesn't count
@@ -697,7 +701,9 @@ impl Store {
         let path = self.trace_path(spec, insts);
         let file = fs::File::open(&path).ok()?;
         let size = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let reader = match TraceReader::new(BufReader::new(file)) {
+        // The decoder reads whole blocks, which bypass the BufReader's
+        // own buffer; the wrapper stays because it is in the signature.
+        let mut reader = match TraceReader::new(BufReader::new(file)) {
             Ok(r) => r,
             Err(e) => {
                 self.evict(&path, &e.to_string());
@@ -716,15 +722,14 @@ impl Store {
             );
             return None;
         }
-        for record in reader {
-            if let Err(e) = record {
-                self.evict(&path, &e.to_string());
-                return None;
-            }
+        if let Err(e) = reader.skip_rest() {
+            self.evict(&path, &e.to_string());
+            return None;
         }
-        // Validated end to end; reopen for the real replay.
-        let file = fs::File::open(&path).ok()?;
-        match TraceStream::new(BufReader::new(file)) {
+        // Validated end to end; rewind the same handle for the replay.
+        let mut input = reader.into_inner();
+        input.rewind().ok()?;
+        match TraceStream::new(input) {
             Ok(stream) => {
                 self.c.trace_hits.fetch_add(1, Ordering::Relaxed);
                 self.c.bytes_read.fetch_add(size, Ordering::Relaxed);

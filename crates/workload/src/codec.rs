@@ -12,7 +12,7 @@
 //!   one byte; encoded length and uop count share another;
 //! * **CRC32 trailer** — a hand-rolled IEEE CRC32 over everything after
 //!   the magic, so truncation and bit-flips are detected on read;
-//! * **no serde** — the codec is ~300 lines of std-only Rust, so the
+//! * **no serde** — the codec is a few hundred lines of std-only Rust, so the
 //!   workspace builds offline.
 //!
 //! Layout (all integers little-endian):
@@ -34,9 +34,9 @@
 //! (only for direct branches) and the next-IP delta (only for taken
 //! transfers).
 //!
-//! [`TraceReader`] decodes *streaming*: one record at a time, O(1)
-//! memory, so multi-million-instruction traces can be validated or
-//! replayed without materializing a `Vec<DynInst>`.
+//! [`TraceReader`] decodes *streaming*: records come out of one read
+//! block of at most 64 KiB, so multi-million-instruction traces can be
+//! validated or replayed without materializing a `Vec<DynInst>`.
 
 use crate::exec::{DynInst, ExecStats};
 use std::fmt;
@@ -100,10 +100,13 @@ impl From<std::io::Error> for TraceError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), table-driven.
+// CRC32 (IEEE 802.3, reflected), slice-by-8.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution through `k` further zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -112,20 +115,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Feeds `bytes` into a running CRC32 (start from `0`, use the returned
 /// value as the next call's `crc`).
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !crc;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -237,6 +264,10 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 // ---------------------------------------------------------------------------
 // Encoder.
 
+/// Encoded records collect in the encoder's buffer until it holds this
+/// many bytes; then they are CRC'd and written in one call each.
+const ENCODE_FLUSH: usize = 4096;
+
 /// Writer half of the codec: call [`Encoder::record`] once per dynamic
 /// instruction, then [`Encoder::finish`] to emit the CRC trailer.
 pub struct Encoder<W: Write> {
@@ -278,6 +309,14 @@ impl<W: Write> Encoder<W> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
         self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
+        if self.buf.len() >= ENCODE_FLUSH {
+            self.write_records()?;
+        }
+        Ok(())
+    }
+
+    /// CRCs and writes the buffered records.
+    fn write_records(&mut self) -> Result<(), TraceError> {
         self.crc = crc32_update(self.crc, &self.buf);
         self.out.write_all(&self.buf)?;
         self.buf.clear();
@@ -291,6 +330,7 @@ impl<W: Write> Encoder<W> {
     /// Panics if fewer records were written than declared in the header.
     pub fn finish(mut self) -> Result<(), TraceError> {
         assert_eq!(self.remaining, 0, "encoder finished before all declared records");
+        self.write_records()?;
         self.out.write_all(&self.crc.to_le_bytes())?;
         self.out.flush()?;
         Ok(())
@@ -403,6 +443,14 @@ impl<W: Write + Seek> StreamEncoder<W> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
         self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
+        if self.buf.len() >= ENCODE_FLUSH {
+            self.write_records()?;
+        }
+        Ok(())
+    }
+
+    /// CRCs and writes the buffered records.
+    fn write_records(&mut self) -> Result<(), TraceError> {
         self.crc_records = crc32_update(self.crc_records, &self.buf);
         self.records_len += self.buf.len() as u64;
         self.out.write_all(&self.buf)?;
@@ -420,6 +468,7 @@ impl<W: Write + Seek> StreamEncoder<W> {
     /// Panics if fewer records were written than declared in the header.
     pub fn finish(mut self, stats: ExecStats) -> Result<(), TraceError> {
         assert_eq!(self.remaining, 0, "encoder finished before all declared records");
+        self.write_records()?;
         let mut stats_bytes = [0u8; 40];
         for (i, v) in
             [stats.insts, stats.uops, stats.elided_calls, stats.wrapped_returns, stats.interrupts]
@@ -467,11 +516,132 @@ fn branch_kind_from_code(code: u8) -> Option<BranchKind> {
 // ---------------------------------------------------------------------------
 // Streaming decoder.
 
+/// Bytes the decoder asks its input for per refill. Also bounds the
+/// header's name field (a `u16` length), so every header field fits one
+/// block.
+const BLOCK: usize = 64 * 1024;
+
+/// Why [`decode_record`] stopped without a record. Kept allocation-free
+/// (and small) so the hot path moves no strings; the message is built
+/// only when the error surfaces as a [`TraceError`].
+#[derive(Clone, Copy)]
+enum RecordError {
+    /// The bytes end mid-record: refill and retry (at EOF: truncation).
+    Short,
+    ReservedFlag,
+    BranchKind,
+    Shape(u8),
+    TargetPresence(BranchKind),
+    VarintOverflow,
+}
+
+impl From<RecordError> for TraceError {
+    #[cold]
+    fn from(e: RecordError) -> Self {
+        TraceError::Corrupt(match e {
+            RecordError::Short => "truncated file".into(),
+            RecordError::ReservedFlag => "reserved flag bit set".into(),
+            RecordError::BranchKind => "invalid branch kind".into(),
+            RecordError::Shape(shape) => format!("invalid shape byte {shape:#04x}"),
+            RecordError::TargetPresence(branch) => {
+                format!("target presence contradicts branch kind {branch:?}")
+            }
+            RecordError::VarintOverflow => "varint overflows 64 bits".into(),
+        })
+    }
+}
+
+/// Reads one varint at `bytes[*at..]`, advancing `at`. A valid varint is
+/// at most 10 bytes, so a record is at most 2 + 3 × 10 bytes.
+#[inline(always)]
+fn take_varint(bytes: &[u8], at: &mut usize) -> Result<u64, RecordError> {
+    match bytes.get(*at) {
+        Some(&byte) if byte & 0x80 == 0 => {
+            *at += 1;
+            Ok(byte as u64)
+        }
+        Some(_) => take_long_varint(bytes, at),
+        None => Err(RecordError::Short),
+    }
+}
+
+/// [`take_varint`] for values of two bytes or more.
+fn take_long_varint(bytes: &[u8], at: &mut usize) -> Result<u64, RecordError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&byte) = bytes.get(*at) else { return Err(RecordError::Short) };
+        *at += 1;
+        if shift >= 63 && byte > 1 {
+            return Err(RecordError::VarintOverflow);
+        }
+        v |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Decodes the record at the front of `bytes`, given the expected
+/// continuation IP. Returns the instruction and the bytes it occupied.
+/// The one record decoder: [`TraceReader`]'s iterator and batch paths
+/// both go through it, and a record cut by the end of `bytes` is reported
+/// as [`RecordError::Short`] rather than misdecoded.
+#[inline(always)]
+fn decode_record(bytes: &[u8], expected_ip: Addr) -> Result<(DynInst, usize), RecordError> {
+    let [flags, shape, ..] = *bytes else { return Err(RecordError::Short) };
+    if flags & 0x80 != 0 {
+        return Err(RecordError::ReservedFlag);
+    }
+    let branch = branch_kind_from_code(flags & 0x07).ok_or(RecordError::BranchKind)?;
+    let len = shape & 0x0F;
+    let uops = (shape >> 4) + 1;
+    if len == 0 || uops > Inst::MAX_UOPS || shape >> 6 != 0 {
+        return Err(RecordError::Shape(shape));
+    }
+    let mut at = 2;
+    let ip = if flags & FLAG_IP_EXPECTED != 0 {
+        expected_ip
+    } else {
+        let delta = unzigzag(take_varint(bytes, &mut at)?);
+        Addr::new(expected_ip.raw().wrapping_add(delta as u64))
+    };
+    let has_target = flags & FLAG_HAS_TARGET != 0;
+    let wants_target = matches!(
+        branch,
+        BranchKind::CondDirect | BranchKind::UncondDirect | BranchKind::CallDirect
+    );
+    if wants_target != has_target {
+        return Err(RecordError::TargetPresence(branch));
+    }
+    let target = if has_target {
+        let delta = unzigzag(take_varint(bytes, &mut at)?);
+        Some(Addr::new(ip.raw().wrapping_add(delta as u64)))
+    } else {
+        None
+    };
+    // Every invariant `Inst::new` asserts was checked above.
+    let inst = Inst { ip, len, uops, branch, target };
+    let next_ip = if flags & FLAG_NEXT_SEQ != 0 {
+        inst.next_seq()
+    } else {
+        let delta = unzigzag(take_varint(bytes, &mut at)?);
+        Addr::new(ip.raw().wrapping_add(delta as u64))
+    };
+    Ok((DynInst { inst, taken: flags & FLAG_TAKEN != 0, next_ip }, at))
+}
+
 /// Streaming trace decoder: an iterator of [`DynInst`]s over any byte
-/// source. Reads one record at a time — a 30M-instruction replay touches
-/// O(1) memory. The CRC trailer is verified after the final record; a
-/// mismatch (or any truncation / field corruption) surfaces as an `Err`
-/// item, never a panic.
+/// source.
+///
+/// The input is read in blocks of at most 64 KiB and records are decoded
+/// straight out of the block, so memory is one block however long the
+/// trace is. Only a record cut by the end of a block waits for a refill;
+/// the CRC folds each consumed range of the block in one call. The CRC
+/// trailer is verified after the final record; a mismatch (or any
+/// truncation / field corruption) surfaces as an `Err`, never a panic.
+/// [`TraceReader::read_into`] is the batch form of the iterator.
 ///
 /// # Examples
 ///
@@ -489,6 +659,12 @@ fn branch_kind_from_code(code: u8) -> Option<BranchKind> {
 /// ```
 pub struct TraceReader<R: Read> {
     input: R,
+    /// The read block: `block[pos..end]` is read but not yet decoded.
+    block: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    /// `block[crc_from..pos]` is decoded but not yet folded into `crc`.
+    crc_from: usize,
     crc: u32,
     name: String,
     count: u64,
@@ -496,7 +672,7 @@ pub struct TraceReader<R: Read> {
     expected_ip: Addr,
     remaining: u64,
     /// Set after the trailer has been verified (or an error was yielded);
-    /// the iterator is fused from then on.
+    /// the reader is fused from then on.
     done: bool,
 }
 
@@ -507,45 +683,46 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Returns [`TraceError::Corrupt`] on bad magic or malformed header
     /// fields, [`TraceError::Version`] on a format-version mismatch.
-    pub fn new(mut input: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if magic != MAGIC {
+    pub fn new(input: R) -> Result<Self, TraceError> {
+        let mut r = TraceReader {
+            input,
+            block: vec![0u8; BLOCK].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            crc_from: 0,
+            crc: 0,
+            name: String::new(),
+            count: 0,
+            stats: ExecStats::default(),
+            expected_ip: Addr::NULL,
+            remaining: 0,
+            done: false,
+        };
+        if r.consume(4)? != MAGIC {
             return Err(TraceError::Corrupt("bad magic (not an XBT trace file)".into()));
         }
-        let mut crc = 0u32;
-        let version = read_u32(&mut input, &mut crc)?;
+        r.crc_from = r.pos; // the CRC covers everything after the magic
+        let version = u32::from_le_bytes(r.consume_array()?);
         if version != FORMAT_VERSION {
             return Err(TraceError::Version(version));
         }
-        let name_len = read_u16(&mut input, &mut crc)? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        input.read_exact(&mut name_bytes)?;
-        crc = crc32_update(crc, &name_bytes);
-        let name = String::from_utf8(name_bytes)
+        let name_len = u16::from_le_bytes(r.consume_array()?) as usize;
+        r.name = String::from_utf8(r.consume(name_len)?.to_vec())
             .map_err(|_| TraceError::Corrupt("trace name is not UTF-8".into()))?;
-        let count = read_u64(&mut input, &mut crc)?;
+        r.count = u64::from_le_bytes(r.consume_array()?);
         let mut s = [0u64; 5];
         for v in &mut s {
-            *v = read_u64(&mut input, &mut crc)?;
+            *v = u64::from_le_bytes(r.consume_array()?);
         }
-        let stats = ExecStats {
+        r.stats = ExecStats {
             insts: s[0],
             uops: s[1],
             elided_calls: s[2],
             wrapped_returns: s[3],
             interrupts: s[4],
         };
-        Ok(TraceReader {
-            input,
-            crc,
-            name,
-            count,
-            stats,
-            expected_ip: Addr::NULL,
-            remaining: count,
-            done: false,
-        })
+        r.remaining = r.count;
+        Ok(r)
     }
 
     /// Trace name from the header.
@@ -563,78 +740,143 @@ impl<R: Read> TraceReader<R> {
         self.stats
     }
 
-    fn read_record(&mut self) -> Result<DynInst, TraceError> {
-        let flags = self.read_byte()?;
-        if flags & 0x80 != 0 {
-            return Err(TraceError::Corrupt("reserved flag bit set".into()));
-        }
-        let branch = branch_kind_from_code(flags & 0x07)
-            .ok_or_else(|| TraceError::Corrupt("invalid branch kind".into()))?;
-        let shape = self.read_byte()?;
-        let len = shape & 0x0F;
-        let uops = (shape >> 4) + 1;
-        if len == 0 || uops > Inst::MAX_UOPS || shape >> 6 != 0 {
-            return Err(TraceError::Corrupt(format!("invalid shape byte {shape:#04x}")));
-        }
-        let ip = if flags & FLAG_IP_EXPECTED != 0 {
-            self.expected_ip
-        } else {
-            let delta = unzigzag(self.read_varint()?);
-            Addr::new(self.expected_ip.raw().wrapping_add(delta as u64))
-        };
-        let wants_target = matches!(
-            branch,
-            BranchKind::CondDirect | BranchKind::UncondDirect | BranchKind::CallDirect
-        );
-        if wants_target != (flags & FLAG_HAS_TARGET != 0) {
-            return Err(TraceError::Corrupt(format!(
-                "target presence contradicts branch kind {branch:?}"
-            )));
-        }
-        let target = if flags & FLAG_HAS_TARGET != 0 {
-            let delta = unzigzag(self.read_varint()?);
-            Some(Addr::new(ip.raw().wrapping_add(delta as u64)))
-        } else {
-            None
-        };
-        let inst = Inst::new(ip, len, uops, branch, target);
-        let next_ip = if flags & FLAG_NEXT_SEQ != 0 {
-            inst.next_seq()
-        } else {
-            let delta = unzigzag(self.read_varint()?);
-            Addr::new(ip.raw().wrapping_add(delta as u64))
-        };
-        self.expected_ip = next_ip;
-        Ok(DynInst { inst, taken: flags & FLAG_TAKEN != 0, next_ip })
+    /// Gives back the input. Bytes already read into the block are lost,
+    /// so a caller that wants to read the input again must rewind it.
+    pub fn into_inner(self) -> R {
+        self.input
     }
 
-    fn read_byte(&mut self) -> Result<u8, TraceError> {
-        let mut b = [0u8; 1];
-        self.input.read_exact(&mut b)?;
-        self.crc = crc32_update(self.crc, &b);
-        Ok(b[0])
+    /// Decodes up to `max` records onto the end of `out` and returns how
+    /// many it appended. Reaching the last record within the call also
+    /// verifies the CRC trailer, so a return value below `max` means the
+    /// trace ended intact; `Ok(0)` with `max > 0` means it had already
+    /// ended. Records appended before an `Err` are not validated.
+    ///
+    /// # Errors
+    ///
+    /// Same as the iterator: truncation, field corruption, CRC mismatch
+    /// or an I/O failure. The reader is fused after an error.
+    pub fn read_into(&mut self, out: &mut Vec<DynInst>, max: usize) -> Result<usize, TraceError> {
+        self.decode_batch(max, |d| out.push(d))
     }
 
-    fn read_varint(&mut self) -> Result<u64, TraceError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
+    /// Decodes and discards the rest of the trace, checking every record
+    /// and the CRC trailer: a full validation pass in O(block) memory.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TraceReader::read_into`].
+    pub fn skip_rest(&mut self) -> Result<(), TraceError> {
+        self.decode_batch(usize::MAX, |_| {}).map(drop)
+    }
+
+    /// The one decode loop behind the iterator, [`TraceReader::read_into`]
+    /// and [`TraceReader::skip_rest`]: decodes up to `max` records, hands
+    /// each to `emit`, and checks the trailer once the records run out
+    /// within the call. Records are decoded from a local cursor over the
+    /// block; only a record cut by the end of the block leaves the inner
+    /// loop, to refill and retry.
+    #[inline(always)]
+    fn decode_batch(
+        &mut self,
+        max: usize,
+        mut emit: impl FnMut(DynInst),
+    ) -> Result<usize, TraceError> {
+        if self.done {
+            return Ok(0);
+        }
+        let n = (max as u64).min(self.remaining) as usize;
+        let mut left = n;
+        while left > 0 {
+            let bytes = &self.block[self.pos..self.end];
+            let (mut at, mut ip) = (0, self.expected_ip);
+            let mut stop = None;
+            while left > 0 {
+                match decode_record(&bytes[at..], ip) {
+                    Ok((d, used)) => {
+                        at += used;
+                        ip = d.next_ip;
+                        emit(d);
+                        left -= 1;
+                    }
+                    Err(e) => {
+                        stop = Some(e);
+                        break;
+                    }
+                }
+            }
+            self.pos += at;
+            self.expected_ip = ip;
+            if let Some(e) = stop {
+                if let Err(e) = self.resume(e) {
+                    self.done = true;
+                    return Err(e);
+                }
+            }
+        }
+        self.remaining -= n as u64;
+        if n < max {
+            self.read_trailer()?;
+        }
+        Ok(n)
+    }
+
+    /// Handles a record [`decode_record`] could not decode: refills the
+    /// block if the record was merely cut short, else reports the error.
+    #[cold]
+    fn resume(&mut self, e: RecordError) -> Result<(), TraceError> {
+        match e {
+            RecordError::Short if self.refill()? => Ok(()),
+            e => Err(e.into()),
+        }
+    }
+
+    /// Folds the consumed bytes into the CRC, moves the undecoded tail to
+    /// the front of the block and reads once into the space behind it.
+    /// Returns `false` at end of input.
+    fn refill(&mut self) -> Result<bool, TraceError> {
+        self.crc = crc32_update(self.crc, &self.block[self.crc_from..self.pos]);
+        self.block.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        self.crc_from = 0;
         loop {
-            let byte = self.read_byte()?;
-            if shift >= 63 && byte > 1 {
-                return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
+            match self.input.read(&mut self.block[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
-            v |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
         }
     }
 
+    /// Consumes exactly `n <= BLOCK` bytes. The refill always leaves room
+    /// for them: it only runs while fewer than `n` bytes are buffered.
+    fn consume(&mut self, n: usize) -> Result<&[u8], TraceError> {
+        debug_assert!(n <= BLOCK);
+        while self.end - self.pos < n {
+            if !self.refill()? {
+                return Err(RecordError::Short.into());
+            }
+        }
+        self.pos += n;
+        Ok(&self.block[self.pos - n..self.pos])
+    }
+
+    fn consume_array<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        Ok(self.consume(N)?.try_into().expect("consume returns exactly N bytes"))
+    }
+
+    /// Checks the CRC trailer against everything read before it and fuses
+    /// the reader.
     fn read_trailer(&mut self) -> Result<(), TraceError> {
-        let mut t = [0u8; 4];
-        self.input.read_exact(&mut t)?;
-        let stored = u32::from_le_bytes(t);
+        self.done = true;
+        self.crc = crc32_update(self.crc, &self.block[self.crc_from..self.pos]);
+        self.crc_from = self.pos;
+        let stored = u32::from_le_bytes(self.consume_array()?);
         if stored != self.crc {
             return Err(TraceError::Corrupt(format!(
                 "CRC mismatch: stored {stored:#010x}, computed {:#010x}",
@@ -645,48 +887,15 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-fn read_u16<R: Read>(input: &mut R, crc: &mut u32) -> Result<u16, TraceError> {
-    let mut b = [0u8; 2];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(input: &mut R, crc: &mut u32) -> Result<u32, TraceError> {
-    let mut b = [0u8; 4];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(input: &mut R, crc: &mut u32) -> Result<u64, TraceError> {
-    let mut b = [0u8; 8];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u64::from_le_bytes(b))
-}
-
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<DynInst, TraceError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.remaining == 0 {
-            self.done = true;
-            return match self.read_trailer() {
-                Ok(()) => None,
-                Err(e) => Some(Err(e)),
-            };
-        }
-        self.remaining -= 1;
-        match self.read_record() {
-            Ok(d) => Some(Ok(d)),
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
+        let mut record = None;
+        match self.decode_batch(1, |d| record = Some(d)) {
+            Ok(_) => record.map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 
@@ -821,6 +1030,148 @@ mod tests {
             Err(other) => panic!("expected version error, got {other}"),
             Ok(_) => panic!("expected version error, got a reader"),
         }
+    }
+
+    /// The textbook bit-at-a-time CRC32, as the reference for the
+    /// slice-by-8 tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn slice_by_8_crc_matches_bitwise_reference() {
+        let data: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "len {len} at offset {offset}");
+                // Split anywhere: incremental updates agree with one shot.
+                let (a, b) = bytes.split_at(len / 3);
+                assert_eq!(crc32_update(crc32(a), b), crc32_bitwise(bytes));
+            }
+        }
+    }
+
+    /// Serves 1–7 bytes per `read`, the count drawn from a seeded
+    /// generator, so records and header fields split across reads at
+    /// every possible point.
+    struct ShortReads<'a> {
+        bytes: &'a [u8],
+        rng: crate::Rng64,
+    }
+
+    impl<'a> ShortReads<'a> {
+        fn new(bytes: &'a [u8], seed: u64) -> Self {
+            ShortReads { bytes, rng: crate::Rng64::seed_from_u64(seed) }
+        }
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = (1 + self.rng.uniform(7) as usize).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn decode_all<R: Read>(input: R) -> Result<Vec<DynInst>, TraceError> {
+        TraceReader::new(input)?.collect()
+    }
+
+    /// A trace whose encoding spans three read blocks (two block
+    /// boundaries inside the records, plus the trailer).
+    fn three_block_trace() -> (Trace, Vec<u8>) {
+        let t = standard_traces()[3].capture(56_000);
+        let buf = encode(&t);
+        assert!(buf.len() > 2 * BLOCK + 1024, "{} bytes is under three blocks", buf.len());
+        (t, buf)
+    }
+
+    /// Byte offsets at and within ±40 bytes of every block boundary and
+    /// of the trailer.
+    fn boundary_offsets(len: usize) -> Vec<usize> {
+        let mut edges: Vec<usize> = (1..).map(|k| k * BLOCK).take_while(|&b| b < len).collect();
+        edges.push(len - 4);
+        let mut offsets: Vec<usize> =
+            edges.iter().flat_map(|&e| e.saturating_sub(40)..(e + 41).min(len)).collect();
+        offsets.dedup();
+        offsets
+    }
+
+    #[test]
+    fn block_decoder_matches_the_resident_trace_through_short_reads() {
+        let (t, buf) = three_block_trace();
+        assert_eq!(decode_all(buf.as_slice()).unwrap(), t.insts());
+        for seed in 0..3 {
+            assert_eq!(decode_all(ShortReads::new(&buf, seed)).unwrap(), t.insts(), "seed {seed}");
+        }
+    }
+
+    /// Validates `input` end to end (the same decode loop the iterator
+    /// runs, minus collecting the records).
+    fn validate<R: Read>(input: R) -> Result<(), TraceError> {
+        TraceReader::new(input)?.skip_rest()
+    }
+
+    #[test]
+    fn corruption_at_block_boundaries_and_trailer_is_detected() {
+        let (_, buf) = three_block_trace();
+        for (i, pos) in boundary_offsets(buf.len()).into_iter().enumerate() {
+            let mut bad = buf.clone();
+            bad[pos] ^= 0x41;
+            assert!(validate(bad.as_slice()).is_err(), "flip at byte {pos} went undetected");
+            assert!(
+                validate(ShortReads::new(&bad, i as u64)).is_err(),
+                "flip at byte {pos} went undetected through short reads"
+            );
+            let cut = &buf[..pos];
+            assert!(validate(cut).is_err(), "truncation at {pos} went undetected");
+            assert!(
+                validate(ShortReads::new(cut, i as u64)).is_err(),
+                "truncation at {pos} went undetected through short reads"
+            );
+        }
+    }
+
+    #[test]
+    fn read_into_matches_the_iterator_at_any_batch_size() {
+        let (t, buf) = three_block_trace();
+        for (seed, sizes) in [&[1usize][..], &[3, 7, 1000, 4093], &[65_537]].into_iter().enumerate()
+        {
+            let mut r = TraceReader::new(ShortReads::new(&buf, seed as u64)).unwrap();
+            let mut got = Vec::new();
+            for &max in sizes.iter().cycle() {
+                let before = got.len();
+                let n = r.read_into(&mut got, max).unwrap();
+                assert_eq!(got.len() - before, n);
+                if n < max {
+                    break;
+                }
+            }
+            assert_eq!(got, t.insts(), "batch sizes {sizes:?}");
+            // Past the end: nothing more, no error, however often asked.
+            assert_eq!(r.read_into(&mut got, 5).unwrap(), 0);
+            assert_eq!(r.read_into(&mut got, 1).unwrap(), 0);
+            assert!(r.next().is_none());
+        }
+    }
+
+    #[test]
+    fn skip_rest_validates_without_yielding() {
+        let (_, buf) = three_block_trace();
+        TraceReader::new(buf.as_slice()).unwrap().skip_rest().unwrap();
+        let mut bad = buf.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 1;
+        assert!(TraceReader::new(bad.as_slice()).unwrap().skip_rest().is_err());
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! ([`crate::codec::TraceReader`]) into an `InstSource`, so a trace on
 //! disk replays without ever being materialized. [`IterSource`] adapts
 //! any in-memory iterator (tests, generators).
+//!
+//! The window refills in batches through [`InstSource::fill`]: a
+//! `TraceStream` decodes a batch straight out of its read block and a
+//! [`ChannelSource`] copies one from its current chunk, so the oracle
+//! pays one dynamic call per batch instead of one per instruction.
 
 use crate::codec::{TraceError, TraceReader};
 use crate::exec::{DynInst, ExecStats};
@@ -34,23 +39,40 @@ pub trait InstSource {
     /// The next committed instruction, or `None` at end of stream.
     fn next_inst(&mut self) -> Option<DynInst>;
 
+    /// Appends up to `max` of the next committed instructions to `out`
+    /// and returns how many it appended: the same sequence `next_inst`
+    /// would yield, in batches. It may return fewer than `max` before the
+    /// end of the stream, but returns 0 for `max > 0` only at the end.
+    /// The default loops over `next_inst`.
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        let start = out.len();
+        while out.len() - start < max {
+            match self.next_inst() {
+                Some(d) => out.push(d),
+                None => break,
+            }
+        }
+        out.len() - start
+    }
+
     /// Diagnostic name of the stream (trace name where known).
     fn source_name(&self) -> &str {
         "<stream>"
     }
 }
 
-/// Streams a serialized `XBT1` trace as an [`InstSource`], decoding one
-/// record at a time — O(1) memory however long the trace is.
+/// Streams a serialized `XBT1` trace as an [`InstSource`], decoding out
+/// of one read block — O(block) memory however long the trace is.
 ///
 /// # Panics
 ///
-/// `next_inst` panics on mid-stream corruption (I/O error, CRC
+/// `next_inst` and `fill` panic on mid-stream corruption (I/O error, CRC
 /// mismatch, truncation). A replay that has already delivered uops from
 /// a stream that turns out to be corrupt cannot produce a correct
 /// result, so there is nothing graceful left to do; callers that need
 /// corruption to degrade to a miss (the store) validate the whole file
-/// with a cheap streaming pre-pass first (`Store::open_trace_stream`).
+/// with a full decode pass first (`Store::open_trace_stream`), which
+/// costs as much again as the replay's own decode.
 ///
 /// # Examples
 ///
@@ -94,9 +116,15 @@ impl<R: Read> TraceStream<R> {
     pub fn exec_stats(&self) -> ExecStats {
         self.reader.exec_stats()
     }
+
+    /// Fails the replay loudly: `yielded` instructions were delivered
+    /// before the stream turned out corrupt.
+    fn corrupt(&self, yielded: u64, e: TraceError) -> ! {
+        panic!("streaming replay of {:?} failed after {yielded} instructions: {e}", self.name())
+    }
 }
 
-impl<R: Read> crate::stream::InstSource for TraceStream<R> {
+impl<R: Read> InstSource for TraceStream<R> {
     fn next_inst(&mut self) -> Option<DynInst> {
         match self.reader.next() {
             None => None,
@@ -104,11 +132,18 @@ impl<R: Read> crate::stream::InstSource for TraceStream<R> {
                 self.yielded += 1;
                 Some(d)
             }
-            Some(Err(e)) => panic!(
-                "streaming replay of {:?} failed after {} instructions: {e}",
-                self.reader.name(),
-                self.yielded
-            ),
+            Some(Err(e)) => self.corrupt(self.yielded, e),
+        }
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        let start = out.len();
+        match self.reader.read_into(out, max) {
+            Ok(n) => {
+                self.yielded += n as u64;
+                n
+            }
+            Err(e) => self.corrupt(self.yielded + (out.len() - start) as u64, e),
         }
     }
 
@@ -162,12 +197,13 @@ impl ChannelSource {
         };
         (tx, src)
     }
-}
 
-impl InstSource for ChannelSource {
-    fn next_inst(&mut self) -> Option<DynInst> {
+    /// The not yet yielded rest of the current chunk, waiting for the
+    /// next chunk when it is used up; empty once `expected` instructions
+    /// have been yielded.
+    fn pending(&mut self) -> &[DynInst] {
         if self.yielded == self.expected {
-            return None;
+            return &[];
         }
         while self.pos == self.chunk.len() {
             match self.rx.recv() {
@@ -181,10 +217,30 @@ impl InstSource for ChannelSource {
                 ),
             }
         }
-        let d = self.chunk[self.pos];
+        let left = (self.expected - self.yielded) as usize;
+        let end = self.chunk.len().min(self.pos.saturating_add(left));
+        &self.chunk[self.pos..end]
+    }
+}
+
+impl InstSource for ChannelSource {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        let d = *self.pending().first()?;
         self.pos += 1;
         self.yielded += 1;
         Some(d)
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        let batch = self.pending();
+        let n = batch.len().min(max);
+        out.extend_from_slice(&batch[..n]);
+        self.pos += n;
+        self.yielded += n as u64;
+        n
     }
 
     fn source_name(&self) -> &str {
@@ -283,6 +339,84 @@ mod tests {
         tx.send(trace.insts().to_vec().into_boxed_slice()).unwrap();
         drop(tx); // producer dies 100 insts short of the declared 200
         while src.next_inst().is_some() {}
+    }
+
+    /// Drains `src` with `fill` calls cycling through `sizes` until one
+    /// returns 0, then checks it stays drained.
+    fn drain_by_fill(src: &mut dyn InstSource, sizes: &[usize]) -> Vec<DynInst> {
+        let mut got = Vec::new();
+        for &max in sizes.iter().cycle() {
+            let before = got.len();
+            let n = src.fill(&mut got, max);
+            assert_eq!(got.len() - before, n, "fill must report what it appended");
+            assert!(n <= max, "fill appended {n} > max {max}");
+            if n == 0 {
+                break;
+            }
+        }
+        assert_eq!(src.fill(&mut got, 3), 0, "a drained source stays drained");
+        assert_eq!(src.next_inst(), None);
+        got
+    }
+
+    const BATCHES: [&[usize]; 4] = [&[1], &[3, 7, 1000], &[4093, 1], &[usize::MAX]];
+
+    #[test]
+    fn trace_stream_fill_matches_next_inst() {
+        // Long enough to cross read blocks.
+        let trace = standard_traces()[3].capture(60_000);
+        let mut buf = Vec::new();
+        trace.save(&mut buf).unwrap();
+        for sizes in BATCHES {
+            let mut s = TraceStream::new(buf.as_slice()).unwrap();
+            assert_eq!(drain_by_fill(&mut s, sizes), trace.insts(), "batch sizes {sizes:?}");
+        }
+        // Batches and single pulls interleave on one stream.
+        let mut s = TraceStream::new(buf.as_slice()).unwrap();
+        let mut got = vec![s.next_inst().unwrap()];
+        s.fill(&mut got, 999);
+        got.push(s.next_inst().unwrap());
+        got.extend(drain_by_fill(&mut s, &[5]));
+        assert_eq!(got, trace.insts());
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming replay")]
+    fn trace_stream_fill_panics_on_midstream_corruption() {
+        let trace = standard_traces()[2].capture(400);
+        let mut buf = Vec::new();
+        trace.save(&mut buf).unwrap();
+        let mid = buf.len() / 2;
+        buf[mid] ^= 0xFF;
+        let mut s = TraceStream::new(buf.as_slice()).unwrap();
+        let mut sink = Vec::new();
+        while s.fill(&mut sink, 64) > 0 {}
+    }
+
+    #[test]
+    fn channel_source_fill_matches_next_inst() {
+        let trace = standard_traces()[0].capture(3_000);
+        for sizes in BATCHES {
+            let insts = trace.insts().to_vec();
+            let (tx, mut src) = ChannelSource::bounded(trace.name(), insts.len() as u64);
+            let feeder = std::thread::spawn(move || {
+                for chunk in insts.chunks(64) {
+                    tx.send(chunk.to_vec().into_boxed_slice()).unwrap();
+                }
+            });
+            assert_eq!(src.fill(&mut Vec::new(), 0), 0, "max 0 takes nothing");
+            assert_eq!(drain_by_fill(&mut src, sizes), trace.insts(), "batch sizes {sizes:?}");
+            feeder.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn default_fill_matches_next_inst() {
+        let trace = standard_traces()[0].capture(500);
+        for sizes in BATCHES {
+            let mut src = IterSource::new(trace.insts().iter().copied());
+            assert_eq!(drain_by_fill(&mut src, sizes), trace.insts(), "batch sizes {sizes:?}");
+        }
     }
 
     #[test]

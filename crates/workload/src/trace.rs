@@ -265,12 +265,8 @@ impl Trace {
         // verified, so a corrupted header must not turn into a huge
         // allocation — the reader streams and detects the lie itself.
         let mut insts = Vec::with_capacity((r.inst_count() as usize).min(1 << 20));
-        let mut uops = 0u64;
-        for d in r.by_ref() {
-            let d = d?;
-            uops += d.uops() as u64;
-            insts.push(d);
-        }
+        r.read_into(&mut insts, usize::MAX)?;
+        let uops = insts.iter().map(|d| d.uops() as u64).sum();
         if insts.is_empty() {
             return Err(TraceError::Corrupt("trace file contains no instructions".into()));
         }
