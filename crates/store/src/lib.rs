@@ -524,8 +524,10 @@ impl Store {
     /// Returns the I/O error if the directory tree cannot be created.
     pub fn open<P: AsRef<Path>>(dir: P) -> std::io::Result<Store> {
         let root = dir.as_ref().to_path_buf();
-        fs::create_dir_all(root.join("traces"))?;
-        fs::create_dir_all(root.join("results"))?;
+        for sub in ["traces", "results"] {
+            fs::create_dir_all(root.join(sub))?;
+            Self::reclaim_orphans(&root.join(sub));
+        }
         Ok(Store {
             root,
             c: Counters::default(),
@@ -991,6 +993,47 @@ impl Store {
         ))
     }
 
+    /// Removes the temp files (see [`Store::tmp_path`]) that writers left
+    /// behind in `dir` when they died mid-write — a `kill -9` during a
+    /// capture would otherwise leave its partial file forever. A file goes
+    /// only when its writer is dead (`/proc/<pid>` is absent) *and* it is
+    /// older than [`LOCK_STALE_MS`], so a live writer's file, or one a
+    /// recycled pid's process might be writing, is never touched. Without
+    /// `/proc` liveness cannot be judged and nothing is removed.
+    fn reclaim_orphans(dir: &Path) {
+        let alive = |pid: &str| Path::new("/proc").join(pid).exists();
+        if !alive("self") {
+            return;
+        }
+        let Ok(entries) = fs::read_dir(dir) else { return };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(pid) = name.to_str().and_then(Self::tmp_writer_pid) else { continue };
+            let aged = entry
+                .metadata()
+                .and_then(|m| m.modified())
+                .ok()
+                .and_then(|m| m.elapsed().ok())
+                .is_some_and(|age| age.as_millis() as u64 > LOCK_STALE_MS);
+            if aged && !alive(pid) {
+                let path = entry.path();
+                eprintln!(
+                    "[xbc-store] discarding {}: temp file of dead writer {pid}; reclaiming",
+                    path.display()
+                );
+                fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    /// The writer pid of a temp file name `.tmp-<pid>-<seq>-<filename>`.
+    fn tmp_writer_pid(name: &str) -> Option<&str> {
+        let (pid, rest) = name.strip_prefix(".tmp-")?.split_once('-')?;
+        let (seq, _) = rest.split_once('-')?;
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        (digits(pid) && digits(seq)).then_some(pid)
+    }
+
     /// Logs and deletes a bad entry, counting it as corrupt + miss. The
     /// deletion happens under the entry's advisory lock so it cannot
     /// race another process's concurrent rewrite of the same entry
@@ -1031,6 +1074,53 @@ mod tests {
     impl Drop for Scratch {
         fn drop(&mut self) {
             fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    #[test]
+    fn orphaned_temp_files_of_dead_writers_are_reclaimed() {
+        let s = Scratch::new("orphans");
+        Store::open(&s.0).unwrap();
+        // Pids are at most 2^22 on Linux, so this writer is never alive.
+        let dead = 999_999_999u32;
+        assert!(!Path::new("/proc").join(dead.to_string()).exists());
+        let me = std::process::id();
+        let stale = std::time::SystemTime::now() - Duration::from_millis(6 * LOCK_STALE_MS);
+        let make = |sub: &str, pid: u32, seq: u32, aged: bool| {
+            let path = s.0.join(sub).join(format!(".tmp-{pid}-{seq}-00000000000000ab.xbt"));
+            let file = fs::File::create(&path).unwrap();
+            if aged {
+                file.set_modified(stale).unwrap();
+            }
+            path
+        };
+        let aged_dead = [make("traces", dead, 1, true), make("results", dead, 2, true)];
+        let fresh_dead = make("traces", dead, 3, false);
+        let aged_mine = make("results", me, 4, true);
+        let entry = s.0.join("traces").join("00000000000000ab.xbt");
+        fs::write(&entry, b"not a temp file").unwrap();
+        fs::File::options().write(true).open(&entry).unwrap().set_modified(stale).unwrap();
+
+        Store::open(&s.0).unwrap();
+        let reclaims = Path::new("/proc/self").exists();
+        for path in &aged_dead {
+            assert_eq!(path.exists(), !reclaims, "aged dead-writer temp {}", path.display());
+        }
+        assert!(fresh_dead.exists(), "a fresh temp file must be kept");
+        assert!(aged_mine.exists(), "a live writer's temp file must be kept");
+        assert!(entry.exists(), "entries are not temp files");
+    }
+
+    #[test]
+    fn tmp_writer_pid_parses_only_temp_names() {
+        let entry = Path::new("/store/traces/00000000000000ab.xbt");
+        let tmp = Store::tmp_path(entry);
+        let name = tmp.file_name().unwrap().to_str().unwrap();
+        assert_eq!(Store::tmp_writer_pid(name), Some(std::process::id().to_string().as_str()));
+        for other in
+            ["00000000000000ab.xbt", ".tmp-x-1-a.xbt", ".tmp-12-a.xbt", ".tmp--1-a", "a.lock"]
+        {
+            assert_eq!(Store::tmp_writer_pid(other), None, "{other}");
         }
     }
 

@@ -249,16 +249,19 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Longest record: flags, length/uops, and three 10-byte varints.
+const MAX_RECORD: usize = 2 + 3 * 10;
+
+/// Writes `v` as a varint into `out` at `at`; returns the end offset.
+#[inline]
+fn put_varint(out: &mut [u8; MAX_RECORD], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = (v & 0x7F) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+        at += 1;
     }
+    out[at] = v as u8;
+    at + 1
 }
 
 // ---------------------------------------------------------------------------
@@ -268,13 +271,49 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 /// many bytes; then they are CRC'd and written in one call each.
 const ENCODE_FLUSH: usize = 4096;
 
+/// Encoded records awaiting their CRC and write-out. The buffer has a
+/// fixed size with room for one more record past [`ENCODE_FLUSH`], so a
+/// record is written straight into its tail with no capacity checks.
+struct RecordBuf {
+    bytes: Box<[u8]>,
+    len: usize,
+    /// IP the next record's instruction is expected at (the previous
+    /// record's `next_ip`).
+    expected_ip: Addr,
+}
+
+impl RecordBuf {
+    fn new() -> RecordBuf {
+        RecordBuf {
+            bytes: vec![0; ENCODE_FLUSH + MAX_RECORD].into_boxed_slice(),
+            len: 0,
+            expected_ip: Addr::NULL,
+        }
+    }
+
+    /// Appends one record; returns whether the buffer is due for a flush.
+    #[inline]
+    fn push(&mut self, d: &DynInst) -> bool {
+        let tail = &mut self.bytes[self.len..self.len + MAX_RECORD];
+        let out = tail.try_into().expect("a flushed buffer has room for one record");
+        self.len += encode_record(out, self.expected_ip, d);
+        self.expected_ip = d.next_ip;
+        self.len >= ENCODE_FLUSH
+    }
+
+    /// The encoded records, then empties the buffer.
+    fn take(&mut self) -> &[u8] {
+        let len = std::mem::take(&mut self.len);
+        &self.bytes[..len]
+    }
+}
+
 /// Writer half of the codec: call [`Encoder::record`] once per dynamic
 /// instruction, then [`Encoder::finish`] to emit the CRC trailer.
 pub struct Encoder<W: Write> {
     out: W,
-    buf: Vec<u8>,
+    records: RecordBuf,
     crc: u32,
-    expected_ip: Addr,
     remaining: u64,
 }
 
@@ -296,8 +335,7 @@ impl<W: Write> Encoder<W> {
         }
         out.write_all(&buf)?;
         let crc = crc32_update(0, &buf);
-        buf.clear();
-        Ok(Encoder { out, buf, crc, expected_ip: Addr::NULL, remaining: count })
+        Ok(Encoder { out, records: RecordBuf::new(), crc, remaining: count })
     }
 
     /// Appends one dynamic instruction.
@@ -308,8 +346,7 @@ impl<W: Write> Encoder<W> {
     pub fn record(&mut self, d: &DynInst) -> Result<(), TraceError> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
-        self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
-        if self.buf.len() >= ENCODE_FLUSH {
+        if self.records.push(d) {
             self.write_records()?;
         }
         Ok(())
@@ -317,9 +354,9 @@ impl<W: Write> Encoder<W> {
 
     /// CRCs and writes the buffered records.
     fn write_records(&mut self) -> Result<(), TraceError> {
-        self.crc = crc32_update(self.crc, &self.buf);
-        self.out.write_all(&self.buf)?;
-        self.buf.clear();
+        let bytes = self.records.take();
+        self.crc = crc32_update(self.crc, bytes);
+        self.out.write_all(bytes)?;
         Ok(())
     }
 
@@ -337,11 +374,12 @@ impl<W: Write> Encoder<W> {
     }
 }
 
-/// Encodes one record into `buf` (appending), given the stateful
-/// expected continuation IP; returns the next expected IP (`d.next_ip`).
-/// Shared by [`Encoder`] and [`StreamEncoder`] so the two paths cannot
-/// drift byte-wise.
-fn encode_record(buf: &mut Vec<u8>, expected_ip: Addr, d: &DynInst) -> Addr {
+/// Encodes one record into the front of `out`, given the stateful
+/// expected continuation IP; returns the record's length in bytes.
+/// Shared by [`Encoder`] and [`StreamEncoder`] (through [`RecordBuf`])
+/// so the two paths cannot drift byte-wise.
+#[inline]
+fn encode_record(out: &mut [u8; MAX_RECORD], expected_ip: Addr, d: &DynInst) -> usize {
     let ip = d.inst.ip;
     let mut flags = branch_kind_code(d.inst.branch);
     if d.taken {
@@ -358,20 +396,21 @@ fn encode_record(buf: &mut Vec<u8>, expected_ip: Addr, d: &DynInst) -> Addr {
     if ip_expected {
         flags |= FLAG_IP_EXPECTED;
     }
-    buf.push(flags);
     debug_assert!((1..=15).contains(&d.inst.len) && (1..=4).contains(&d.inst.uops));
-    buf.push(d.inst.len | ((d.inst.uops - 1) << 4));
+    out[0] = flags;
+    out[1] = d.inst.len | ((d.inst.uops - 1) << 4);
+    let mut n = 2;
     if !ip_expected {
         let delta = ip.raw().wrapping_sub(expected_ip.raw()) as i64;
-        write_varint(buf, zigzag(delta));
+        n = put_varint(out, n, zigzag(delta));
     }
     if let Some(t) = d.inst.target {
-        write_varint(buf, zigzag(t.raw().wrapping_sub(ip.raw()) as i64));
+        n = put_varint(out, n, zigzag(t.raw().wrapping_sub(ip.raw()) as i64));
     }
     if !next_seq {
-        write_varint(buf, zigzag(d.next_ip.raw().wrapping_sub(ip.raw()) as i64));
+        n = put_varint(out, n, zigzag(d.next_ip.raw().wrapping_sub(ip.raw()) as i64));
     }
-    d.next_ip
+    n
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +430,7 @@ fn encode_record(buf: &mut Vec<u8>, expected_ip: Addr, d: &DynInst) -> Addr {
 /// a second pass over them.
 pub struct StreamEncoder<W: Write + Seek> {
     out: W,
-    buf: Vec<u8>,
+    records: RecordBuf,
     /// CRC of the header bytes before the stats field (version..count).
     crc_prefix: u32,
     /// Running CRC over record bytes only, seeded from 0.
@@ -400,7 +439,6 @@ pub struct StreamEncoder<W: Write + Seek> {
     records_len: u64,
     /// Absolute file offset of the 40-byte stats field.
     stats_pos: u64,
-    expected_ip: Addr,
     remaining: u64,
 }
 
@@ -421,15 +459,13 @@ impl<W: Write + Seek> StreamEncoder<W> {
         let stats_pos = (MAGIC.len() + buf.len()) as u64;
         buf.extend_from_slice(&[0u8; 40]); // stats placeholder
         out.write_all(&buf)?;
-        buf.clear();
         Ok(StreamEncoder {
             out,
-            buf,
+            records: RecordBuf::new(),
             crc_prefix,
             crc_records: 0,
             records_len: 0,
             stats_pos,
-            expected_ip: Addr::NULL,
             remaining: count,
         })
     }
@@ -442,8 +478,7 @@ impl<W: Write + Seek> StreamEncoder<W> {
     pub fn record(&mut self, d: &DynInst) -> Result<(), TraceError> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
-        self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
-        if self.buf.len() >= ENCODE_FLUSH {
+        if self.records.push(d) {
             self.write_records()?;
         }
         Ok(())
@@ -451,10 +486,10 @@ impl<W: Write + Seek> StreamEncoder<W> {
 
     /// CRCs and writes the buffered records.
     fn write_records(&mut self) -> Result<(), TraceError> {
-        self.crc_records = crc32_update(self.crc_records, &self.buf);
-        self.records_len += self.buf.len() as u64;
-        self.out.write_all(&self.buf)?;
-        self.buf.clear();
+        let bytes = self.records.take();
+        self.crc_records = crc32_update(self.crc_records, bytes);
+        self.records_len += bytes.len() as u64;
+        self.out.write_all(bytes)?;
         Ok(())
     }
 

@@ -6,10 +6,8 @@
 //! committed path. Frontend models consume this stream, running their
 //! predictors against it (trace-driven methodology, paper §4).
 
-use crate::program::{CondBehavior, Program};
+use crate::program::{CondBehavior, Program, Slot, NO_SLOT};
 use crate::rng::Rng64;
-use std::collections::HashMap;
-use xbc_isa::Addr as ExecAddr;
 use xbc_isa::{Addr, BranchKind, Inst};
 
 /// One committed dynamic instruction: the static instruction plus how its
@@ -55,6 +53,14 @@ pub struct ExecStats {
     pub interrupts: u64,
 }
 
+/// A control-flow position: an address and the image slot holding it
+/// ([`NO_SLOT`] when the address is off the image; executing it panics).
+#[derive(Clone, Copy, Debug)]
+struct Pc {
+    ip: Addr,
+    slot: u32,
+}
+
 /// Streaming architectural executor. Implements `Iterator<Item = DynInst>`
 /// and never terminates on its own (take as many instructions as needed).
 ///
@@ -75,12 +81,16 @@ pub struct ExecStats {
 pub struct Executor<'a> {
     program: &'a Program,
     rng: Rng64,
-    ip: Addr,
-    stack: Vec<Addr>,
-    /// Per-branch execution counters for deterministic loop behaviour.
-    loop_state: HashMap<u64, u32>,
-    /// Last resolved target per indirect branch (bursty dispatch).
-    sticky_targets: HashMap<u64, ExecAddr>,
+    /// The next instruction to execute.
+    pc: Pc,
+    /// Return addresses of the active calls (and interrupts).
+    stack: Vec<Pc>,
+    /// Per-conditional-branch execution counters for deterministic loop
+    /// behaviour, indexed by the branch's behaviour index.
+    loop_state: Vec<u32>,
+    /// Last resolved target per indirect branch (bursty dispatch),
+    /// indexed by the branch's behaviour index.
+    sticky_targets: Vec<Option<Addr>>,
     /// Probability of reusing the sticky target.
     stickiness: f64,
     /// Mean instructions between asynchronous interrupts (None = off).
@@ -132,10 +142,10 @@ impl<'a> Executor<'a> {
         Executor {
             program,
             rng: Rng64::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
-            ip: program.entry(),
+            pc: Pc { ip: program.entry(), slot: program.slot_of(program.entry()) },
             stack: Vec::with_capacity(MAX_STACK),
-            loop_state: HashMap::new(),
-            sticky_targets: HashMap::new(),
+            loop_state: vec![0; program.stats().cond_branches],
+            sticky_targets: vec![None; program.indirect_count()],
             stickiness,
             interrupt_interval,
             interrupt_countdown: interrupt_interval.unwrap_or(usize::MAX),
@@ -148,47 +158,93 @@ impl<'a> Executor<'a> {
         self.stats
     }
 
-    /// Resolves the instruction at the current IP.
-    fn step(&mut self) -> DynInst {
-        let inst = *self
-            .program
-            .inst_at(self.ip)
-            .unwrap_or_else(|| panic!("execution fell off the program image at {}", self.ip));
-        let (taken, next_ip) = match inst.branch {
-            BranchKind::None => (false, inst.next_seq()),
-            BranchKind::CondDirect => {
-                let taken = self.resolve_cond(&inst);
-                (taken, if taken { inst.taken_target() } else { inst.next_seq() })
+    /// Appends the next `n` committed instructions to `out` — the same
+    /// instructions `n` calls of [`Iterator::next`] would yield.
+    ///
+    /// Runs of plain (non-branch) instructions are copied straight out of
+    /// the image: they need no RNG draw, no stack and no lookup, only the
+    /// interrupt countdown, which is settled once per run.
+    pub(crate) fn fill(&mut self, out: &mut Vec<DynInst>, n: usize) {
+        let end = out.len() + n;
+        out.reserve(n);
+        while out.len() < end {
+            // An interrupt is due after the instruction that brings the
+            // countdown to 1; that one goes through `step`.
+            let armed = self.interrupt_countdown != usize::MAX;
+            let budget = (end - out.len()).min(self.interrupt_countdown - 1);
+            let (mut pc, mut uops, mut run) = (self.pc, 0u64, 0);
+            let slots = self.program.slots();
+            while run < budget {
+                let Some(Slot { inst, .. }) = slots.get(pc.slot as usize) else {
+                    break;
+                };
+                if inst.branch != BranchKind::None {
+                    break;
+                }
+                out.push(DynInst { inst: *inst, taken: false, next_ip: inst.next_seq() });
+                // Reading the pushed copy back, not the slot, keeps the
+                // compiler from staging the 48-byte copy through the stack.
+                let d = out.last().expect("just pushed");
+                uops += d.inst.uops as u64;
+                run += 1;
+                pc = Pc { ip: d.next_ip, slot: self.program.slot_after(pc.slot, d.next_ip) };
             }
-            BranchKind::UncondDirect => (true, inst.taken_target()),
-            BranchKind::CallDirect => {
-                if self.stack.len() < MAX_STACK {
-                    self.stack.push(inst.next_seq());
-                    (true, inst.taken_target())
+            self.pc = pc;
+            self.stats.insts += run as u64;
+            self.stats.uops += uops;
+            if armed {
+                self.interrupt_countdown -= run;
+            }
+            if out.len() < end {
+                out.push(self.step());
+            }
+        }
+    }
+
+    /// Resolves the instruction at the current IP.
+    #[inline(always)]
+    fn step(&mut self) -> DynInst {
+        let here = self.pc;
+        if here.slot == NO_SLOT {
+            panic!("execution fell off the program image at {}", here.ip);
+        }
+        let program = self.program;
+        let Slot { inst, behavior, target } = program.slots()[here.slot as usize];
+        let fall = Pc { ip: inst.next_seq(), slot: program.slot_after(here.slot, inst.next_seq()) };
+        let (taken, next) = match inst.branch {
+            BranchKind::None => (false, fall),
+            BranchKind::CondDirect => {
+                if self.resolve_cond(behavior) {
+                    (true, Pc { ip: inst.taken_target(), slot: target })
                 } else {
-                    self.stats.elided_calls += 1;
-                    (false, inst.next_seq())
+                    (false, fall)
+                }
+            }
+            BranchKind::UncondDirect => (true, Pc { ip: inst.taken_target(), slot: target }),
+            BranchKind::CallDirect => {
+                if self.push_return(fall) {
+                    (true, Pc { ip: inst.taken_target(), slot: target })
+                } else {
+                    (false, fall)
                 }
             }
             BranchKind::IndirectJump => {
-                let t = self.resolve_indirect(&inst);
-                (true, t)
+                let t = self.resolve_indirect(behavior);
+                (true, self.locate(t))
             }
             BranchKind::IndirectCall => {
-                let t = self.resolve_indirect(&inst);
-                if self.stack.len() < MAX_STACK {
-                    self.stack.push(inst.next_seq());
-                    (true, t)
+                let t = self.resolve_indirect(behavior);
+                if self.push_return(fall) {
+                    (true, self.locate(t))
                 } else {
-                    self.stats.elided_calls += 1;
-                    (false, inst.next_seq())
+                    (false, fall)
                 }
             }
             BranchKind::Return => match self.stack.pop() {
                 Some(ra) => (true, ra),
                 None => {
                     self.stats.wrapped_returns += 1;
-                    (true, self.program.entry())
+                    (true, self.locate(program.entry()))
                 }
             },
         };
@@ -198,13 +254,13 @@ impl<'a> Executor<'a> {
         // handler's final return resumes seamlessly. Frontends see an
         // unpredictable control transfer at a non-branch boundary — exactly
         // what makes kernel activity disruptive to fetch structures.
-        let mut next_ip = next_ip;
+        let mut next = next;
         if self.interrupt_countdown <= 1 {
             if self.stack.len() < MAX_STACK {
-                let handlers = self.program.interrupt_handlers();
+                let handlers = program.interrupt_handlers();
                 let h = handlers[self.rng.gen_range(0..handlers.len())];
-                self.stack.push(next_ip);
-                next_ip = h;
+                self.stack.push(next);
+                next = self.locate(h);
                 self.stats.interrupts += 1;
             }
             // Re-arm around the mean interval (uniform ±50%).
@@ -213,21 +269,34 @@ impl<'a> Executor<'a> {
         } else if self.interrupt_countdown != usize::MAX {
             self.interrupt_countdown -= 1;
         }
-        self.ip = next_ip;
+        self.pc = next;
         self.stats.insts += 1;
         self.stats.uops += inst.uops as u64;
-        DynInst { inst, taken, next_ip }
+        DynInst { inst, taken, next_ip: next.ip }
     }
 
-    fn resolve_cond(&mut self, inst: &Inst) -> bool {
-        match self
-            .program
-            .cond_behavior(inst.ip)
-            .unwrap_or_else(|| panic!("conditional branch at {} lacks behaviour", inst.ip))
-        {
+    /// `ip` with the slot that holds it.
+    fn locate(&self, ip: Addr) -> Pc {
+        Pc { ip, slot: self.program.slot_of(ip) }
+    }
+
+    /// Pushes a call's return address; past [`MAX_STACK`] the call is
+    /// elided instead and `false` is returned.
+    fn push_return(&mut self, ra: Pc) -> bool {
+        if self.stack.len() < MAX_STACK {
+            self.stack.push(ra);
+            true
+        } else {
+            self.stats.elided_calls += 1;
+            false
+        }
+    }
+
+    fn resolve_cond(&mut self, behavior: u32) -> bool {
+        match self.program.cond(behavior) {
             CondBehavior::Bernoulli { p_taken } => self.rng.gen::<f64>() < p_taken,
             CondBehavior::Loop { trip } => {
-                let count = self.loop_state.entry(inst.ip.raw()).or_insert(0);
+                let count = &mut self.loop_state[behavior as usize];
                 *count += 1;
                 if (*count).is_multiple_of(trip) {
                     false // loop exit
@@ -238,18 +307,15 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn resolve_indirect(&mut self, inst: &Inst) -> Addr {
-        if let Some(&t) = self.sticky_targets.get(&inst.ip.raw()) {
+    fn resolve_indirect(&mut self, behavior: u32) -> Addr {
+        let sticky = &mut self.sticky_targets[behavior as usize];
+        if let Some(t) = *sticky {
             if self.rng.gen::<f64>() < self.stickiness {
                 return t;
             }
         }
-        let t = self
-            .program
-            .indirect_targets(inst.ip)
-            .unwrap_or_else(|| panic!("indirect branch at {} lacks targets", inst.ip))
-            .choose(&mut self.rng);
-        self.sticky_targets.insert(inst.ip.raw(), t);
+        let t = self.program.indirect(behavior).choose(&mut self.rng);
+        *sticky = Some(t);
         t
     }
 }
@@ -398,6 +464,56 @@ mod tests {
             trace.iter().any(|d| handler_set.contains(&d.inst.ip.raw())),
             "handler entries must appear in the stream"
         );
+    }
+
+    #[test]
+    fn fill_matches_next_across_interrupts_and_chunk_sizes() {
+        let profile = WorkloadProfile {
+            functions: 40,
+            interrupt_interval: Some(300),
+            ..WorkloadProfile::default()
+        };
+        let p = ProgramGenerator::new(profile, 13).generate();
+        let mut one = Executor::with_options(&p, 13, 0.85, Some(300));
+        let want: Vec<_> = (&mut one).take(30_000).collect();
+        let mut batched = Executor::with_options(&p, 13, 0.85, Some(300));
+        let mut got = Vec::new();
+        let mut rng = Rng64::seed_from_u64(1);
+        while got.len() < want.len() {
+            let n = rng.gen_range(0usize..700).min(want.len() - got.len());
+            batched.fill(&mut got, n);
+        }
+        assert_eq!(got, want);
+        assert_eq!(batched.stats(), one.stats());
+        assert!(one.stats().interrupts > 0);
+    }
+
+    /// 0x10 runs into 0x12, a gap before the next slot (0x20).
+    fn open_ended_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        b.push(Inst::plain(Addr::new(0x10), 2, 1));
+        b.push(Inst::new(Addr::new(0x20), 1, 1, BranchKind::Return, None));
+        b.build(Addr::new(0x10), 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "fell off the program image at 0x0000000000000012")]
+    fn next_panics_when_execution_falls_off_the_image() {
+        let p = open_ended_program();
+        let mut e = Executor::new(&p, 0);
+        assert_eq!(e.next().unwrap().next_ip, Addr::new(0x12));
+        e.next();
+    }
+
+    #[test]
+    #[should_panic(expected = "fell off the program image at 0x0000000000000012")]
+    fn fill_panics_when_execution_falls_off_the_image() {
+        let p = open_ended_program();
+        let mut e = Executor::new(&p, 0);
+        let mut out = Vec::new();
+        e.fill(&mut out, 1);
+        assert_eq!(out.len(), 1);
+        e.fill(&mut out, 1);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::profile::WorkloadProfile;
 use crate::program::{CondBehavior, IndirectTargets, Program, ProgramBuilder};
 use crate::rng::Rng64;
+use std::ops::Range;
 use xbc_isa::{Addr, BranchKind, Inst};
 
 /// Byte distance between consecutive function images. Functions are far
@@ -19,6 +20,9 @@ use xbc_isa::{Addr, BranchKind, Inst};
 const FUNCTION_STRIDE: u64 = 1 << 16;
 /// Base address of the program image.
 const IMAGE_BASE: u64 = 0x1000_0000;
+/// Indirect-call sites in the dispatcher (fewer when there are fewer
+/// functions to dispatch to).
+const DISPATCH_SITES: usize = 40;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TermKind {
@@ -33,8 +37,9 @@ enum TermKind {
 /// One planned (not yet addressed) basic block.
 #[derive(Clone, Debug)]
 struct PlannedBlock {
-    /// `(len_bytes, uops)` of each body instruction (terminator excluded).
-    body: Vec<(u8, u8)>,
+    /// Range of the function's `shapes` holding this block's body
+    /// instructions (terminator excluded).
+    body: Range<usize>,
     term: TermKind,
     term_shape: (u8, u8),
     /// Address of the first instruction; filled by the layout pass.
@@ -47,7 +52,16 @@ struct PlannedBlock {
 struct PlannedFunction {
     entry: Addr,
     blocks: Vec<PlannedBlock>,
+    /// `(len_bytes, uops)` of every body instruction, block after block.
+    shapes: Vec<(u8, u8)>,
     joins: Vec<usize>,
+}
+
+impl PlannedFunction {
+    /// Instructions in the function image (bodies plus terminators).
+    fn inst_count(&self) -> usize {
+        self.shapes.len() + self.blocks.len()
+    }
 }
 
 /// Deterministic random program generator.
@@ -193,12 +207,14 @@ impl ProgramGenerator {
         let tail_mean = (mean - 3.0).max(1.0);
         let nb = 3 + self.geometric(1.0 / (tail_mean + 1.0)).min(512);
         let mut blocks = Vec::with_capacity(nb);
+        let mut shapes = Vec::new();
         for b in 0..nb {
             let n_insts = 1 + self.geometric(self.profile.insts_per_block_p).min(24);
             // Terminator replaces the last instruction slot so block length
             // statistics include it.
-            let body_len = n_insts.saturating_sub(1);
-            let body = (0..body_len).map(|_| self.sample_inst_shape()).collect();
+            let body_start = shapes.len();
+            shapes.extend((1..n_insts).map(|_| self.sample_inst_shape()));
+            let body = body_start..shapes.len();
             let term = self.sample_term(b == nb - 1);
             let term_shape = self.term_shape(term);
             blocks.push(PlannedBlock {
@@ -215,11 +231,11 @@ impl ProgramGenerator {
         let joins = (0..njoins).map(|_| self.rng.gen_range(1..nb)).collect();
         // Layout pass: assign addresses.
         let base = Addr::new(IMAGE_BASE + index as u64 * FUNCTION_STRIDE);
-        let mut f = PlannedFunction { entry: base, blocks, joins };
+        let mut f = PlannedFunction { entry: base, blocks, shapes, joins };
         let mut cursor = base;
         for b in &mut f.blocks {
             b.start = cursor;
-            for (len, _) in &b.body {
+            for (len, _) in &f.shapes[b.body.clone()] {
                 cursor = cursor.offset(*len as u64);
             }
             b.term_ip = cursor;
@@ -309,9 +325,10 @@ impl ProgramGenerator {
         // edge risks a cycle with no probabilistic exit. Join blocks (shared
         // merge points creating fan-in) are used when they lie ahead.
         if self.rng.gen::<f64>() < self.profile.join_bias {
-            let ahead: Vec<usize> = f.joins.iter().copied().filter(|&j| j > from).collect();
-            if !ahead.is_empty() {
-                let j = ahead[self.rng.gen_range(0..ahead.len())];
+            let ahead = || f.joins.iter().copied().filter(|&j| j > from);
+            let n = ahead().count();
+            if n > 0 {
+                let j = ahead().nth(self.rng.gen_range(0..n)).expect("n joins lie ahead");
                 return f.blocks[j].start;
             }
         }
@@ -331,7 +348,7 @@ impl ProgramGenerator {
         let entry = Addr::new(IMAGE_BASE);
         let nfun = functions.len() + 1; // combined numbering includes us
         let mut ip = entry;
-        let sites = 40.min(functions.len());
+        let sites = DISPATCH_SITES.min(functions.len());
         for _ in 0..sites {
             for _ in 0..2 {
                 let (len, uops) = self.sample_inst_shape();
@@ -373,7 +390,11 @@ impl ProgramGenerator {
         // Combined function numbering: 0 is the dispatcher, planned function
         // `pf` is index `pf + 1`.
         let nfun = functions.len() + 1;
-        let mut builder = ProgramBuilder::new();
+        // The dispatcher is three instructions per call site plus two.
+        let insts = 3 * DISPATCH_SITES.min(functions.len())
+            + 2
+            + functions.iter().map(PlannedFunction::inst_count).sum::<usize>();
+        let mut builder = ProgramBuilder::with_capacity(insts);
         let dispatcher_entry = self.build_dispatcher(&mut builder, &functions);
         builder.add_function_entry(dispatcher_entry);
         for f in &functions {
@@ -388,7 +409,7 @@ impl ProgramGenerator {
             for (bi, b) in f.blocks.iter().enumerate() {
                 // Body instructions.
                 let mut ip = b.start;
-                for (len, uops) in &b.body {
+                for (len, uops) in &f.shapes[b.body.clone()] {
                     builder.push(Inst::plain(ip, *len, *uops));
                     ip = ip.offset(*len as u64);
                 }

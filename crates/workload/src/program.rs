@@ -1,14 +1,14 @@
 //! Static program images with behavioral annotations.
 //!
-//! A [`Program`] is what the frontend simulators fetch from: a map from
-//! address to [`Inst`], plus the *behavioral* model the architectural
-//! executor uses to resolve control flow (per-branch direction behaviour,
-//! indirect target sets). Programs are produced by the generator
+//! A [`Program`] is what the frontend simulators fetch from: a flat,
+//! address-sorted image of [`Inst`]s, plus the *behavioral* model the
+//! architectural executor uses to resolve control flow (per-branch
+//! direction behaviour, indirect target sets), stored with each
+//! instruction's slot. Programs are produced by the generator
 //! ([`crate::ProgramGenerator`]) or hand-built through [`ProgramBuilder`]
 //! in tests and examples.
 
 use crate::rng::Rng64;
-use std::collections::HashMap;
 use std::fmt;
 use xbc_isa::{Addr, BranchKind, Inst};
 
@@ -84,7 +84,101 @@ pub struct ProgramStats {
     pub cond_branches: usize,
 }
 
+/// Sentinel slot number: "no instruction at this address".
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// One instruction of the flat image, with its behaviour annotation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    /// The static instruction.
+    pub(crate) inst: Inst,
+    /// Index of the instruction's behaviour in [`Program`]'s `cond` table
+    /// (conditional branches) or `indirect` table (indirect jumps and
+    /// calls); unused for every other kind.
+    pub(crate) behavior: u32,
+    /// Slot of the static taken target of a direct branch, [`NO_SLOT`] if
+    /// the target is off the image or the instruction has none.
+    pub(crate) target: u32,
+}
+
+/// Address → slot index: an open-addressing table of slot numbers with
+/// linear probing and a multiplicative (Fibonacci) hash of the address.
+/// Keys are not stored; a probe compares against the slot's own `ip`, so
+/// the table costs 4 bytes per bucket and stays at most 2/3 full.
+#[derive(Clone, Debug, Default)]
+struct SlotIndex {
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl SlotIndex {
+    /// Indexes every slot of `slots` in at least `min_buckets` buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two slots share an address.
+    fn build(slots: &[Slot], min_buckets: usize) -> SlotIndex {
+        let n = (slots.len() * 3 / 2 + 1).max(min_buckets).next_power_of_two().max(8);
+        let mut index = SlotIndex { buckets: vec![NO_SLOT; n], shift: 64 - n.trailing_zeros() };
+        for (s, slot) in slots.iter().enumerate() {
+            let ip = slot.inst.ip;
+            assert!(index.insert(ip, s as u32, slots), "duplicate instruction at {ip}");
+        }
+        index
+    }
+
+    #[inline]
+    fn home(&self, ip: Addr) -> usize {
+        (ip.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `ip`, or [`NO_SLOT`].
+    #[inline]
+    fn find(&self, ip: Addr, slots: &[Slot]) -> u32 {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(ip);
+        loop {
+            let s = self.buckets[b];
+            if s == NO_SLOT || slots[s as usize].inst.ip == ip {
+                return s;
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Records that slot `s` (already in `slots`) holds `ip`; returns
+    /// `false`, leaving the index unchanged, if another slot already does.
+    fn insert(&mut self, ip: Addr, s: u32, slots: &[Slot]) -> bool {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(ip);
+        loop {
+            match self.buckets[b] {
+                NO_SLOT => {
+                    self.buckets[b] = s;
+                    return true;
+                }
+                other if slots[other as usize].inst.ip == ip => return false,
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// Whether one more entry would push the load past 2/3.
+    fn is_full(&self, len: usize) -> bool {
+        (len + 1) * 3 > self.buckets.len() * 2
+    }
+}
+
 /// An immutable program image plus behaviour annotations.
+///
+/// The image is flat: the instructions sit in one address-sorted vector
+/// of slots, each carrying the index of its conditional or indirect
+/// behaviour and the slot of its direct target, and an O(1) hash index
+/// maps an address to its slot. The [`crate::Executor`] walks slot
+/// numbers, so sequential fall-through is `slot + 1`, a direct branch
+/// jumps to its precomputed target slot, and only indirect transfers
+/// consult the index.
 ///
 /// # Examples
 ///
@@ -105,9 +199,11 @@ pub struct ProgramStats {
 #[derive(Clone)]
 pub struct Program {
     entry: Addr,
-    insts: HashMap<u64, Inst>,
-    cond: HashMap<u64, CondBehavior>,
-    indirect: HashMap<u64, IndirectTargets>,
+    /// Instructions in ascending address order.
+    slots: Vec<Slot>,
+    index: SlotIndex,
+    cond: Vec<CondBehavior>,
+    indirect: Vec<IndirectTargets>,
     function_entries: Vec<Addr>,
     interrupt_handlers: Vec<Addr>,
     stats: ProgramStats,
@@ -122,17 +218,19 @@ impl Program {
     /// The instruction at `ip`, if any.
     #[inline]
     pub fn inst_at(&self, ip: Addr) -> Option<&Inst> {
-        self.insts.get(&ip.raw())
+        self.slots.get(self.slot_of(ip) as usize).map(|s| &s.inst)
     }
 
     /// Direction behaviour of the conditional branch at `ip`.
     pub fn cond_behavior(&self, ip: Addr) -> Option<CondBehavior> {
-        self.cond.get(&ip.raw()).copied()
+        let slot = self.slots.get(self.slot_of(ip) as usize)?;
+        (slot.inst.branch == BranchKind::CondDirect).then(|| self.cond[slot.behavior as usize])
     }
 
     /// Target set of the indirect jump/call at `ip`.
     pub fn indirect_targets(&self, ip: Addr) -> Option<&IndirectTargets> {
-        self.indirect.get(&ip.raw())
+        let slot = self.slots.get(self.slot_of(ip) as usize)?;
+        has_targets(slot.inst.branch).then(|| &self.indirect[slot.behavior as usize])
     }
 
     /// Entry addresses of all functions (index 0 is `main`).
@@ -150,6 +248,51 @@ impl Program {
     pub fn stats(&self) -> ProgramStats {
         self.stats
     }
+
+    /// The slot holding `ip`, or [`NO_SLOT`].
+    #[inline]
+    pub(crate) fn slot_of(&self, ip: Addr) -> u32 {
+        self.index.find(ip, &self.slots)
+    }
+
+    /// The slot holding `ip` when control leaves slot `from` for `ip`:
+    /// a sequential step lands on `from + 1` without consulting the index.
+    #[inline]
+    pub(crate) fn slot_after(&self, from: u32, ip: Addr) -> u32 {
+        let next = from + 1;
+        match self.slots.get(next as usize) {
+            Some(s) if s.inst.ip == ip => next,
+            _ => self.slot_of(ip),
+        }
+    }
+
+    /// The whole image, in address order.
+    #[inline]
+    pub(crate) fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Behaviour of the conditional branch with behaviour index `i`.
+    #[inline]
+    pub(crate) fn cond(&self, i: u32) -> CondBehavior {
+        self.cond[i as usize]
+    }
+
+    /// Target set of the indirect branch with behaviour index `i`.
+    #[inline]
+    pub(crate) fn indirect(&self, i: u32) -> &IndirectTargets {
+        &self.indirect[i as usize]
+    }
+
+    /// Number of indirect branches (the range of their behaviour indices).
+    pub(crate) fn indirect_count(&self) -> usize {
+        self.indirect.len()
+    }
+}
+
+/// Whether instructions of this kind carry an [`IndirectTargets`] set.
+fn has_targets(kind: BranchKind) -> bool {
+    matches!(kind, BranchKind::IndirectJump | BranchKind::IndirectCall)
 }
 
 impl fmt::Debug for Program {
@@ -162,11 +305,18 @@ impl fmt::Debug for Program {
 }
 
 /// Incremental [`Program`] constructor.
+///
+/// Instructions may be pushed in any order; [`ProgramBuilder::build`]
+/// sorts them into the flat image. Ascending pushes (the generator's)
+/// skip all hashing until `build`.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramBuilder {
-    insts: HashMap<u64, Inst>,
-    cond: HashMap<u64, CondBehavior>,
-    indirect: HashMap<u64, IndirectTargets>,
+    slots: Vec<Slot>,
+    /// Duplicate detector over `slots`, built on the first push that does
+    /// not ascend (strictly ascending pushes cannot repeat an address).
+    index: Option<SlotIndex>,
+    cond: Vec<CondBehavior>,
+    indirect: Vec<IndirectTargets>,
     function_entries: Vec<Addr>,
     interrupt_handlers: Vec<Addr>,
     static_uops: usize,
@@ -176,6 +326,11 @@ impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty builder with room for `insts` instructions.
+    pub(crate) fn with_capacity(insts: usize) -> Self {
+        ProgramBuilder { slots: Vec::with_capacity(insts), ..Self::default() }
     }
 
     /// Adds a non-conditional, non-indirect instruction.
@@ -190,7 +345,7 @@ impl ProgramBuilder {
                 || inst.branch == BranchKind::Return,
             "conditional/indirect instructions need behaviour annotations"
         );
-        self.insert(inst);
+        self.insert(Slot { inst, behavior: 0, target: NO_SLOT });
     }
 
     /// Adds a conditional branch with its direction behaviour.
@@ -206,9 +361,8 @@ impl ProgramBuilder {
         if let CondBehavior::Loop { trip } = behavior {
             assert!(trip >= 1, "loop trips at least once");
         }
-        let ip = inst.ip;
-        self.insert(inst);
-        self.cond.insert(ip.raw(), behavior);
+        self.insert(Slot { inst, behavior: self.cond.len() as u32, target: NO_SLOT });
+        self.cond.push(behavior);
     }
 
     /// Adds an indirect jump/call with its weighted target set.
@@ -217,13 +371,9 @@ impl ProgramBuilder {
     ///
     /// Panics on duplicates or if `inst` is not an indirect jump/call.
     pub fn push_indirect(&mut self, inst: Inst, targets: IndirectTargets) {
-        assert!(
-            matches!(inst.branch, BranchKind::IndirectJump | BranchKind::IndirectCall),
-            "push_indirect expects an indirect jump or call"
-        );
-        let ip = inst.ip;
-        self.insert(inst);
-        self.indirect.insert(ip.raw(), targets);
+        assert!(has_targets(inst.branch), "push_indirect expects an indirect jump or call");
+        self.insert(Slot { inst, behavior: self.indirect.len() as u32, target: NO_SLOT });
+        self.indirect.push(targets);
     }
 
     /// Registers a function entry point (call targets).
@@ -236,10 +386,21 @@ impl ProgramBuilder {
         self.interrupt_handlers = handlers;
     }
 
-    fn insert(&mut self, inst: Inst) {
-        self.static_uops += inst.uops as usize;
-        let prev = self.insts.insert(inst.ip.raw(), inst);
-        assert!(prev.is_none(), "duplicate instruction at {}", inst.ip);
+    fn insert(&mut self, slot: Slot) {
+        let ip = slot.inst.ip;
+        let ascending = self.slots.last().is_none_or(|last| last.inst.ip < ip);
+        if self.index.is_none() && !ascending {
+            self.index = Some(SlotIndex::build(&self.slots, 0));
+        }
+        if let Some(index) = &mut self.index {
+            if index.is_full(self.slots.len()) {
+                *index = SlotIndex::build(&self.slots, index.buckets.len() * 2);
+            }
+            let s = self.slots.len() as u32;
+            assert!(index.insert(ip, s, &self.slots), "duplicate instruction at {ip}");
+        }
+        self.static_uops += slot.inst.uops as usize;
+        self.slots.push(slot);
     }
 
     /// Finalizes the program.
@@ -247,17 +408,29 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `entry` does not point at an instruction.
-    pub fn build(self, entry: Addr, functions: usize) -> Program {
-        assert!(self.insts.contains_key(&entry.raw()), "entry {entry} has no instruction");
+    pub fn build(mut self, entry: Addr, functions: usize) -> Program {
+        if self.index.is_some() {
+            // Behaviour indices travel with their slots, so the sort keeps
+            // every annotation attached to its instruction.
+            self.slots.sort_unstable_by_key(|s| s.inst.ip);
+        }
+        let index = SlotIndex::build(&self.slots, 0);
+        assert!(index.find(entry, &self.slots) != NO_SLOT, "entry {entry} has no instruction");
+        for s in 0..self.slots.len() {
+            if let Some(target) = self.slots[s].inst.target {
+                self.slots[s].target = index.find(target, &self.slots);
+            }
+        }
         let stats = ProgramStats {
             functions,
-            static_insts: self.insts.len(),
+            static_insts: self.slots.len(),
             static_uops: self.static_uops,
             cond_branches: self.cond.len(),
         };
         Program {
             entry,
-            insts: self.insts,
+            slots: self.slots,
+            index,
             cond: self.cond,
             indirect: self.indirect,
             function_entries: self.function_entries,

@@ -99,18 +99,14 @@ impl Trace {
     ) -> Self {
         assert!(n_insts > 0, "a trace needs at least one instruction");
         let mut exec = Executor::with_options(program, seed, stickiness, interrupt_interval);
-        let mut insts = Vec::with_capacity(n_insts);
-        let mut uops = 0u64;
-        for _ in 0..n_insts {
-            let d = exec.next().expect("executor is infinite");
-            uops += d.uops() as u64;
-            insts.push(d);
-        }
+        let mut insts = Vec::new();
+        exec.fill(&mut insts, n_insts);
+        let exec_stats = exec.stats();
         Trace {
             name: name.to_owned(),
             insts,
-            uops,
-            exec_stats: exec.stats(),
+            uops: exec_stats.uops,
+            exec_stats,
             uop_prefix: std::sync::OnceLock::new(),
         }
     }
@@ -160,9 +156,7 @@ impl Trace {
         while done < n_insts as u64 {
             let take = CAPTURE_CHUNK.min(n_insts - done as usize);
             chunk.clear();
-            for _ in 0..take {
-                chunk.push(exec.next().expect("executor is infinite"));
-            }
+            exec.fill(&mut chunk, take);
             for d in &chunk {
                 enc.record(d)?;
             }
