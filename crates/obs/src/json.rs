@@ -8,6 +8,9 @@
 //! keeps the build hermetic. (`xbc-sim` re-exports this module as
 //! `xbc_sim::json`, its home before `xbc-obs` existed.)
 //!
+//! Parsing is linear in the input: string bodies are copied a run of
+//! plain bytes at a time, never re-validated as UTF-8.
+//!
 //! Numbers are kept as their source text ([`Json::Num`] holds the
 //! literal): `u64` counters round-trip without passing through `f64`,
 //! and `f64` fields are written with Rust's shortest-roundtrip `{}`
@@ -41,7 +44,7 @@ impl Json {
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(s, &mut pos)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -131,13 +134,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'{') => parse_obj(s, pos),
+        Some(b'[') => parse_arr(s, pos),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -171,18 +175,28 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     Ok(Json::Num(text.to_owned()))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next delimiter in one step. Both
+        // delimiters are ASCII, so the run starts and ends on char
+        // boundaries of the (already valid) input: slicing it needs no
+        // UTF-8 re-validation, and parsing stays linear in the input.
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+        let end = run.map_or(b.len(), |n| *pos + n);
+        out.push_str(&s[*pos..end]);
+        *pos = end;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
+                // A backslash escape.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -206,19 +220,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so this
-                // is always well-formed).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad UTF-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(b, pos);
@@ -231,13 +238,13 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(s, pos)?;
         pairs.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -251,7 +258,8 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -260,7 +268,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,

@@ -50,7 +50,7 @@ use crate::protocol::{self, Request, SweepRequest};
 use crate::scheduler::MAX_CELL_ATTEMPTS;
 use crate::scheduler::{CellTicket, Scheduler};
 use crate::transport::{self, Conn, Endpoint, Listener};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -66,6 +66,12 @@ use crate::faults::{FaultInjector, RowFault};
 /// How often blocked connection reads wake to check the shutdown flag
 /// and idle budget.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Longest request line the daemon reads, newline excluded. The largest
+/// legitimate request, all 21 traces × hundreds of frontends, is tens of
+/// KB; a longer line gets an `error` line and the connection is closed,
+/// so no client can make the daemon buffer without bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration for [`serve`] / [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -708,7 +714,8 @@ fn handle_sweep(
 
 /// Reads one request line, polling so blocked reads observe shutdown
 /// and the idle budget. Returns `Ok(None)` on EOF, idle timeout, or
-/// daemon drain.
+/// daemon drain, and an `InvalidData` error for a line longer than
+/// [`MAX_REQUEST_LINE`] (its rest is left unread).
 fn read_request_line(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
@@ -719,8 +726,16 @@ fn read_request_line(
     let mut buf: Vec<u8> = Vec::new();
     let idle0 = Instant::now();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        // At most one byte past the cap (content plus newline) is read.
+        let budget = (MAX_REQUEST_LINE + 1 - buf.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut buf) {
             Ok(0) => return Ok(None), // EOF
+            Ok(_) if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
+                ));
+            }
             Ok(_) => {
                 // Requests are not required to be valid UTF-8 — a
                 // malformed byte is a parse error, not a dead daemon.
@@ -751,7 +766,17 @@ fn handle_connection(shared: &Shared, conn: Conn, client: u64) -> std::io::Resul
     let mut out = conn.try_clone()?;
     let mut reader = BufReader::new(conn);
     send_line(&mut out, &protocol::hello_line(shared.threads))?;
-    while let Some(line) = read_request_line(shared, &mut reader)? {
+    loop {
+        let line = match read_request_line(shared, &mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()),
+            // Socket reads never report InvalidData: this is an
+            // over-long line, refused before the connection closes.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return send_line(&mut out, &protocol::error_line(&e.to_string()));
+            }
+            Err(e) => return Err(e),
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -769,7 +794,6 @@ fn handle_connection(shared: &Shared, conn: Conn, client: u64) -> std::io::Resul
             Ok(Request::Sweep(req)) => handle_sweep(shared, &mut out, client, req)?,
         }
     }
-    Ok(())
 }
 
 /// A bound, not-yet-running daemon. Splitting bind from run lets

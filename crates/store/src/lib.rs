@@ -95,19 +95,33 @@ const LOCK_STALE_MS: u64 = 10_000;
 /// An acquired (or timed-out) advisory entry lock. Dropping it releases
 /// the lock by removing the lock file.
 ///
-/// Implementation: `O_CREAT|O_EXCL` lock files next to the entry, the
-/// one mutual-exclusion primitive plain `std::fs` offers on every
-/// platform (the workspace is hermetic — no libc, so no `flock`).
+/// Implementation: `O_CREAT|O_EXCL` lock files next to the entry.
 /// Creation is atomic; whoever creates the file owns the entry until
-/// drop. Contenders spin with a short sleep, steal locks older than
-/// [`LOCK_STALE_MS`], and give up after [`LOCK_ACQUIRE_MS`] — the locks
-/// are advisory, so a timeout proceeds unlocked rather than failing.
+/// drop, and anyone can see who holds what with `ls`. Contenders spin
+/// with a short sleep, steal locks older than [`LOCK_STALE_MS`] (see
+/// [`EntryLock::steal_stale`]), and give up after [`LOCK_ACQUIRE_MS`] —
+/// the locks are advisory, so a timeout proceeds unlocked rather than
+/// failing.
 #[doc(hidden)] // Public for the crate's own concurrency tests only.
 pub struct EntryLock {
     path: PathBuf,
     /// Whether the lock was actually acquired (`false` after a timeout
     /// or when there was nothing to lock).
     pub held: bool,
+}
+
+/// Sidecar file, one per store directory and never deleted, whose
+/// kernel advisory lock serializes stale-lock stealers.
+const STEAL_SIDECAR: &str = ".steal-guard";
+
+/// Whether the lock file at `path` exists and is older than
+/// [`LOCK_STALE_MS`].
+fn lock_is_stale(path: &Path) -> bool {
+    fs::metadata(path)
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|m| m.elapsed().ok())
+        .is_some_and(|age| age.as_millis() as u64 > LOCK_STALE_MS)
 }
 
 impl EntryLock {
@@ -134,12 +148,7 @@ impl EntryLock {
                     return EntryLock { path, held: true };
                 }
                 Err(e) if e.kind() == ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| m.elapsed().ok())
-                        .is_some_and(|age| age.as_millis() as u64 > LOCK_STALE_MS);
-                    if stale {
+                    if lock_is_stale(&path) {
                         Self::steal_stale(&path);
                         continue;
                     }
@@ -158,20 +167,36 @@ impl EntryLock {
         }
     }
 
-    /// Steals a lock file already judged stale, safely under contention.
+    /// Steals a lock file judged stale, safely under contention.
     ///
-    /// Deleting the stale file in place would race: two contenders can
-    /// both see it stale, the first deletes it and creates a *fresh*
-    /// lock, and the second's delete then removes the fresh lock — two
-    /// winners. Instead the stale file is first *renamed* to a unique
-    /// tombstone. Rename is atomic, so exactly one stealer succeeds;
-    /// the losers' renames fail (`NotFound`) and they simply re-enter
-    /// the `create_new` race. The winner re-checks the tombstone's age
-    /// before discarding it: if the rename unexpectedly grabbed a
-    /// fresh lock (the holder released and a new one appeared inside
-    /// the staleness-check window), it is restored instead of deleted.
+    /// Stealers are serialized by a kernel advisory lock
+    /// ([`fs::File::lock`]) on the directory's [`STEAL_SIDECAR`]; the
+    /// kernel drops it if a stealer dies. Under it the lock is judged
+    /// again: another stealer may already have removed the stale file
+    /// and its winner created a *fresh* lock, which must not be taken.
+    /// A fresh lock cannot replace a stale one while the sidecar is
+    /// held — nobody removes a dead holder's file, and `create_new`
+    /// fails while it exists — so the re-check and the steal see the
+    /// same file. The file is renamed to a unique tombstone and its age
+    /// checked once more. Should a holder that outlived the staleness
+    /// window have released in between, so that the tombstone is a
+    /// fresh lock, it is restored with `hard_link`, which fails rather
+    /// than overwrite a lock created meanwhile.
     fn steal_stale(path: &Path) {
         static STEAL_SEQ: AtomicU64 = AtomicU64::new(0);
+        let Ok(guard) = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path.with_file_name(STEAL_SIDECAR))
+        else {
+            return; // E.g. the directory vanished; the caller retries.
+        };
+        if guard.lock().is_err() || !lock_is_stale(path) {
+            // Already stolen (and maybe freshly re-locked), or released:
+            // the caller re-enters the `create_new` race either way.
+            return;
+        }
         let mut name = path.as_os_str().to_os_string();
         name.push(format!(
             ".stale-{}-{}",
@@ -180,23 +205,16 @@ impl EntryLock {
         ));
         let tombstone = PathBuf::from(name);
         if fs::rename(path, &tombstone).is_err() {
-            // Lost the steal race (or the holder released): the path is
-            // free or freshly re-locked; the caller retries either way.
             return;
         }
-        let still_stale = fs::metadata(&tombstone)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|m| m.elapsed().ok())
-            .is_some_and(|age| age.as_millis() as u64 > LOCK_STALE_MS);
-        if still_stale {
+        if lock_is_stale(&tombstone) {
             eprintln!("[xbc-store] stealing stale lock {} (holder presumed dead)", path.display());
-            fs::remove_file(&tombstone).ok();
         } else {
-            // Pathological interleaving: we renamed a live lock. Put it
-            // back (best effort) and go back to waiting on it.
-            fs::rename(&tombstone, path).ok();
+            // We renamed a live lock. Put it back unless the path was
+            // re-locked meanwhile, and go back to waiting on it.
+            fs::hard_link(&tombstone, path).ok();
         }
+        fs::remove_file(&tombstone).ok();
     }
 }
 

@@ -4,10 +4,12 @@
 //! re-entered the `create_new` loop. Two contenders could both judge
 //! the same lock stale; the first then deleted it and created a fresh
 //! lock, and the second's delayed delete removed the *fresh* lock —
-//! leaving two processes convinced they hold the entry. The fix steals
-//! by atomically renaming the stale file to a unique tombstone first:
-//! rename succeeds for exactly one contender, and losers only ever
-//! retry the create, never delete.
+//! leaving two processes convinced they hold the entry. Renaming the
+//! stale file to a tombstone first was not enough: a stealer that had
+//! judged the old lock stale could rename away the fresh lock another
+//! contender had just created, and putting it back overwrote a third
+//! contender's lock. Stealers now queue on a kernel advisory lock on a
+//! per-directory sidecar and re-judge staleness under it.
 
 use std::fs;
 use std::path::PathBuf;
