@@ -141,6 +141,7 @@ fn frontends() -> (u64, Vec<Case>) {
         measure(3, || {
             let mut stream = store.open_trace_stream(spec, TRACE_INSTS).expect("entry streams");
             let m = XbcFrontend::new(XbcConfig::default()).run_streamed(&mut stream);
+            stream.finish().expect("the bench entry verifies");
             assert_eq!(m.total_uops(), uops, "streamed replay delivers the bench trace");
         }),
     );

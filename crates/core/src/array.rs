@@ -33,6 +33,7 @@ use crate::config::XbcConfig;
 use crate::inline_vec::InlineVec;
 use crate::ptr::{BankMask, XbPtr};
 use xbc_isa::{Addr, Uop};
+use xbc_uarch::SetIndex;
 
 /// Upper bound on `banks` (a [`BankMask`] is 8 bits), and therefore on the
 /// number of lines in any [`Assembly`].
@@ -161,7 +162,8 @@ pub struct ArrayStats {
 /// The banked data + tag array.
 #[derive(Clone, Debug)]
 pub struct XbcArray {
-    sets: usize,
+    /// Set count, as the division-free `(set, tag)` split.
+    index: SetIndex,
     banks: usize,
     ways: usize,
     line_uops: usize,
@@ -208,7 +210,7 @@ impl XbcArray {
             xbc_isa::BranchKind::None,
         );
         XbcArray {
-            sets,
+            index: SetIndex::new(sets),
             banks: cfg.banks,
             ways: cfg.ways,
             line_uops: cfg.line_uops,
@@ -229,7 +231,7 @@ impl XbcArray {
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.index.sets()
     }
 
     /// Number of banks.
@@ -268,13 +270,12 @@ impl XbcArray {
 
     /// Derives `(set, tag)` from an XB's ending-instruction IP.
     pub fn set_and_tag(&self, xb_ip: Addr) -> (usize, u64) {
-        let key = xb_ip.raw();
-        ((key % self.sets as u64) as usize, key / self.sets as u64)
+        self.index.split(xb_ip.raw())
     }
 
     #[inline]
     fn idx(&self, set: usize, bank: usize, way: usize) -> usize {
-        debug_assert!(set < self.sets && bank < self.banks && way < self.ways);
+        debug_assert!(set < self.sets() && bank < self.banks && way < self.ways);
         (set * self.banks + bank) * self.ways + way
     }
 
@@ -1047,7 +1048,7 @@ impl XbcArray {
     pub fn population(&self) -> Population {
         use std::collections::HashMap;
         let mut per_tag: HashMap<(usize, u64), Vec<(u8, usize)>> = HashMap::new();
-        for set in 0..self.sets {
+        for set in 0..self.sets() {
             let base = set * self.lanes;
             for lane in 0..self.lanes {
                 let m = self.meta[base + lane];
@@ -1203,7 +1204,7 @@ impl XbcArray {
         &self,
         merged_tags: &std::collections::HashSet<(usize, u64)>,
     ) -> Result<(), String> {
-        for set in 0..self.sets {
+        for set in 0..self.sets() {
             self.audit_set(set, merged_tags)?;
         }
         Ok(())

@@ -871,7 +871,7 @@ impl XbcFrontend {
             probe.emit_cycles(CycleKind::Stall, self.engine.take_stall() + 1);
             return;
         }
-        let built = std::mem::take(&mut self.xfu.done);
+        let built = self.xfu.take_done();
         let mut last: Option<(XbPtr, InstallKind, DynInst)> = None;
         for b in &built {
             let avoid = if self.cfg.smart_placement { self.last_mask } else { BankMask::EMPTY };
@@ -936,6 +936,7 @@ impl XbcFrontend {
             let (set, _) = self.array.set_and_tag(ptr.xb_ip);
             self.audit_after_install(set);
         }
+        self.xfu.recycle(built);
         // Switch check (§3.5): delivery resumes when the block just built
         // was already cached (XBC hit) and the XBTB can point onward.
         if let Some((ptr, InstallKind::Contained, end)) = last {

@@ -14,6 +14,7 @@
 use crate::ptr::{BankMask, XbPtr};
 use xbc_isa::{Addr, BranchKind};
 use xbc_predict::{Bias, BiasCounter};
+use xbc_uarch::SetIndex;
 
 /// How an extended block ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -165,7 +166,7 @@ pub struct Xbtb {
     pool: Vec<XbtbEntry>,
     lru: Vec<u64>,
     stamp: u64,
-    sets: usize,
+    sets: SetIndex,
     ways: usize,
     stats: XbtbStats,
 }
@@ -192,7 +193,7 @@ impl Xbtb {
             pool: Vec::new(),
             lru: vec![0; entries],
             stamp: 0,
-            sets: entries / XBTB_WAYS,
+            sets: SetIndex::new(entries / XBTB_WAYS),
             ways: XBTB_WAYS,
             stats: XbtbStats::default(),
         }
@@ -203,7 +204,7 @@ impl Xbtb {
         // Fibonacci hashing: function-strided code layouts otherwise
         // cluster into a few sets and thrash the table.
         let h = xb_ip.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize % self.sets) * self.ways
+        self.sets.split(h >> 32).0 * self.ways
     }
 
     #[inline]

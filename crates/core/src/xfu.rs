@@ -15,7 +15,7 @@
 use crate::array::XbcArray;
 use crate::ptr::{BankMask, XbPtr};
 use xbc_frontend::FillSink;
-use xbc_isa::{decode, Uop};
+use xbc_isa::{decode_into, Uop};
 use xbc_workload::DynInst;
 
 /// A finalized extended block, straight from the committed path.
@@ -62,8 +62,15 @@ impl BuiltXb {
     /// of [`BuiltXb::uops`].
     pub fn uops_into(&self, out: &mut Vec<Uop>) {
         for d in &self.insts {
-            out.extend(decode(&d.inst));
+            decode_into(&d.inst, out);
         }
+    }
+
+    /// The instruction buffer, emptied for reuse.
+    fn into_empty_insts(self) -> Vec<DynInst> {
+        let mut insts = self.insts;
+        insts.clear();
+        insts
     }
 }
 
@@ -156,6 +163,11 @@ pub fn install_with(
 }
 
 /// The fill unit: groups committed instructions into extended blocks.
+///
+/// Instruction buffers are recycled: a finalized block keeps the open
+/// block's buffer and the next open block draws a spare from a pool that
+/// [`Xfu::recycle`] and [`Xfu::clear`] refill, so steady-state building
+/// allocates nothing (DESIGN.md §12).
 #[derive(Clone, Debug)]
 pub struct Xfu {
     max_uops: usize,
@@ -163,6 +175,10 @@ pub struct Xfu {
     cur_uops: usize,
     /// Finalized blocks awaiting installation.
     pub done: Vec<BuiltXb>,
+    /// The empty `done` list handed back by the last [`Xfu::recycle`].
+    spare_done: Vec<BuiltXb>,
+    /// Empty instruction buffers of recycled blocks.
+    pool: Vec<Vec<DynInst>>,
 }
 
 impl Xfu {
@@ -177,15 +193,35 @@ impl Xfu {
             max_uops >= xbc_isa::Inst::MAX_UOPS as usize,
             "quota must fit at least one instruction"
         );
-        Xfu { max_uops, cur: Vec::new(), cur_uops: 0, done: Vec::new() }
+        Xfu {
+            max_uops,
+            cur: Vec::new(),
+            cur_uops: 0,
+            done: Vec::new(),
+            spare_done: Vec::new(),
+            pool: Vec::new(),
+        }
     }
 
     fn finalize(&mut self) {
         if !self.cur.is_empty() {
-            self.done
-                .push(BuiltXb { insts: std::mem::take(&mut self.cur), uop_count: self.cur_uops });
+            let insts = std::mem::replace(&mut self.cur, self.pool.pop().unwrap_or_default());
+            self.done.push(BuiltXb { insts, uop_count: self.cur_uops });
             self.cur_uops = 0;
         }
+    }
+
+    /// Takes the finalized blocks for installation. Hand the list back
+    /// with [`Xfu::recycle`] once installed.
+    pub fn take_done(&mut self) -> Vec<BuiltXb> {
+        std::mem::replace(&mut self.done, std::mem::take(&mut self.spare_done))
+    }
+
+    /// Returns installed blocks (and their list) from [`Xfu::take_done`]
+    /// so later blocks reuse the buffers.
+    pub fn recycle(&mut self, mut built: Vec<BuiltXb>) {
+        self.pool.extend(built.drain(..).map(BuiltXb::into_empty_insts));
+        self.spare_done = built;
     }
 
     /// Discards all buffered state (on mode switches / resteers into
@@ -193,7 +229,7 @@ impl Xfu {
     pub fn clear(&mut self) {
         self.cur.clear();
         self.cur_uops = 0;
-        self.done.clear();
+        self.pool.extend(self.done.drain(..).map(BuiltXb::into_empty_insts));
     }
 
     /// Structural audit of the build state (paper §3.3):

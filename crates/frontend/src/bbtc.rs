@@ -248,16 +248,12 @@ impl BbtcFrontend {
         self.traces.len()
     }
 
-    fn slot_for(sets: u64, ip: Addr) -> (usize, u64) {
-        ((ip.raw() % sets) as usize, ip.raw() / sets)
-    }
-
     fn block_slot(&self, ip: Addr) -> (usize, u64) {
-        Self::slot_for(self.blocks.sets() as u64, ip)
+        self.blocks.split(ip.raw())
     }
 
     fn trace_slot(&self, ip: Addr) -> (usize, u64) {
-        Self::slot_for(self.traces.sets() as u64, ip)
+        self.traces.split(ip.raw())
     }
 
     /// Walks the pointed-to blocks against the oracle, mirroring the TC
@@ -283,7 +279,7 @@ impl BbtcFrontend {
         for (bi, &start) in ptrs.blocks.iter().enumerate() {
             // The leading block was verified by the trace-table lookup;
             // later blocks may have been evicted from the block cache.
-            let (set, tag) = Self::slot_for(blocks.sets() as u64, start);
+            let (set, tag) = blocks.split(start.raw());
             let Some(idx) = blocks.get_index(set, tag) else {
                 return (accepted, None, bi == 0, None);
             };
@@ -363,8 +359,7 @@ impl BbtcFrontend {
         probe: &mut Probe<'_, S>,
     ) {
         if self.stall > 0 {
-            self.stall -= 1;
-            probe.emit(Event::Cycle(CycleKind::Stall));
+            probe.emit_cycles(CycleKind::Stall, std::mem::take(&mut self.stall));
             return;
         }
         if self.pending_uops == 0 {
@@ -429,6 +424,14 @@ impl BbtcFrontend {
         probe: &mut Probe<'_, S>,
     ) {
         let kind = self.engine.cycle(oracle, &mut self.preds, probe, &mut self.fill);
+        if kind == CycleKind::Stall {
+            // A stall cycle delivers and builds nothing, so every
+            // remaining stall cycle is identical: retire them all in this
+            // step (a recording sink still sees one `Cycle(Stall)` each).
+            debug_assert!(self.fill.done_blocks.is_empty(), "a stall cycle completes no block");
+            probe.emit_cycles(CycleKind::Stall, self.engine.take_stall() + 1);
+            return;
+        }
         for block in std::mem::take(&mut self.fill.done_blocks) {
             let (set, tag) = self.block_slot(block.insts[0].inst.ip);
             // One copy per block start: same-tag insertion replaces.

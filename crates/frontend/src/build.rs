@@ -191,14 +191,12 @@ impl BuildEngine {
             self.stall += access.penalty;
             return CycleKind::Build;
         }
-        let line_start = self.icache.line_of(ip).raw();
-        let line_bytes = self.icache.config().line_bytes as u64;
+        let line = self.icache.line_of(ip);
         self.decoder.begin_cycle();
         let mut delivered = 0usize;
 
         while let Some(d) = oracle.current().copied() {
-            let inst_ip = d.inst.ip.raw();
-            if inst_ip < line_start || inst_ip >= line_start + line_bytes {
+            if self.icache.line_of(d.inst.ip) != line {
                 break; // next fetch line, next cycle
             }
             if !self.decoder.try_consume(&d.inst) {

@@ -154,11 +154,14 @@ pub trait Frontend {
     /// O(window) however long the trace is. Metrics are bit-identical to
     /// a resident [`Frontend::run`] of the same committed stream.
     ///
+    /// A source that can turn out corrupt (`xbc_workload::TraceStream`)
+    /// ends at its first bad record instead of panicking, so the metrics
+    /// are only as good as the source's verdict: check it before using
+    /// them.
+    ///
     /// # Panics
     ///
-    /// Same livelock watchdog as [`Frontend::run`]; additionally panics
-    /// if the source yields corrupt data mid-stream (see
-    /// `xbc_workload::TraceStream`).
+    /// Same livelock watchdog as [`Frontend::run`].
     fn run_streamed(&mut self, source: &mut dyn InstSource) -> FrontendMetrics {
         drive(self, &mut OracleStream::streaming(source), None)
     }

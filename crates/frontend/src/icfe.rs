@@ -10,7 +10,7 @@ use crate::frontend::Frontend;
 use crate::metrics::FrontendMetrics;
 use crate::oracle::OracleStream;
 use crate::probe::Probe;
-use xbc_obs::{Event, EventSink};
+use xbc_obs::{CycleKind, Event, EventSink};
 use xbc_predict::{BtbConfig, GshareConfig};
 use xbc_uarch::{DecoderConfig, ICacheConfig};
 
@@ -63,8 +63,13 @@ impl IcFrontend {
         oracle: &mut OracleStream<'_>,
         probe: &mut Probe<'_, S>,
     ) {
-        let kind = self.engine.cycle(oracle, &mut self.preds, probe, &mut NoFill);
-        probe.emit(Event::Cycle(kind));
+        match self.engine.cycle(oracle, &mut self.preds, probe, &mut NoFill) {
+            // Nothing happens while stalled: retire the whole stall in
+            // this one step (a recording sink still sees one
+            // `Cycle(Stall)` per cycle).
+            CycleKind::Stall => probe.emit_cycles(CycleKind::Stall, self.engine.take_stall() + 1),
+            kind => probe.emit(Event::Cycle(kind)),
+        }
     }
 }
 

@@ -269,14 +269,9 @@ impl TraceCacheFrontend {
         }
     }
 
-    fn set_and_tag_for_key(&self, key: u64) -> (usize, u64) {
-        let sets = self.cache.sets() as u64;
-        ((key % sets) as usize, key / sets)
-    }
-
     #[cfg_attr(not(test), allow(dead_code))]
     fn set_and_tag(&self, ip: xbc_isa::Addr, dir_fold: u64) -> (usize, u64) {
-        self.set_and_tag_for_key(self.trace_key(ip, dir_fold))
+        self.cache.split(self.trace_key(ip, dir_fold))
     }
 
     /// Finds the trace to fetch for the current oracle position. Without
@@ -290,12 +285,12 @@ impl TraceCacheFrontend {
     fn lookup_next(&mut self, ip: xbc_isa::Addr) -> Option<(u64, usize)> {
         if !self.cfg.path_associative {
             let key = self.trace_key(ip, 0);
-            let (set, tag) = self.set_and_tag_for_key(key);
+            let (set, tag) = self.cache.split(key);
             return self.cache.get_index(set, tag).map(|idx| (key, idx));
         }
         let hist = self.preds.dir.history();
         if let Some(key) = self.next_trace.predict(xbc_isa::Addr::new(self.last_path), hist) {
-            let (set, tag) = self.set_and_tag_for_key(key);
+            let (set, tag) = self.cache.split(key);
             if let Some(idx) = self.cache.get_index(set, tag) {
                 if self.cache.data_at(idx).insts[0].inst.ip == ip {
                     return Some((key, idx));
@@ -305,14 +300,14 @@ impl TraceCacheFrontend {
         // Fallback: all variants share the set (the fold only perturbs tag
         // bits), so scan it for any trace starting at the fetch address —
         // the way-comparators match on the start IP in hardware.
-        let (set, _) = self.set_and_tag_for_key(self.trace_key(ip, 0));
+        let (set, _) = self.cache.split(self.trace_key(ip, 0));
         let key = self
             .cache
             .set_entries(set)
             .find(|(_, l)| l.insts[0].inst.ip == ip)
             .map(|(_, l)| self.trace_key(ip, l.dir_fold(self.cfg.path_bits)))?;
         // Touch for LRU (the uncounted scan above doesn't).
-        let (s, tag) = self.set_and_tag_for_key(key);
+        let (s, tag) = self.cache.split(key);
         let idx = self.cache.get_index(s, tag)?;
         Some((key, idx))
     }
@@ -414,8 +409,7 @@ impl TraceCacheFrontend {
         probe: &mut Probe<'_, S>,
     ) {
         if self.stall > 0 {
-            self.stall -= 1;
-            probe.emit(Event::Cycle(CycleKind::Stall));
+            probe.emit_cycles(CycleKind::Stall, std::mem::take(&mut self.stall));
             return;
         }
         if self.pending_uops == 0 {
@@ -471,6 +465,14 @@ impl TraceCacheFrontend {
         probe: &mut Probe<'_, S>,
     ) {
         let kind = self.engine.cycle(oracle, &mut self.preds, probe, &mut self.fill);
+        if kind == CycleKind::Stall {
+            // A stall cycle delivers and builds nothing, so every
+            // remaining stall cycle is identical: retire them all in this
+            // step (a recording sink still sees one `Cycle(Stall)` each).
+            debug_assert!(self.fill.done.is_empty(), "a stall cycle completes no trace");
+            probe.emit_cycles(CycleKind::Stall, self.engine.take_stall() + 1);
+            return;
+        }
         let completed: Vec<TraceLine> = std::mem::take(&mut self.fill.done);
         let built_any = !completed.is_empty();
         for line in completed {
@@ -482,7 +484,7 @@ impl TraceCacheFrontend {
             // set's ways, and the next-trace predictor learns successions.
             let fold = line.dir_fold(self.cfg.path_bits);
             let key = self.trace_key(start, fold);
-            let (set, tag) = self.set_and_tag_for_key(key);
+            let (set, tag) = self.cache.split(key);
             self.cache.insert(set, tag, line);
             self.note_transition(key);
         }

@@ -126,15 +126,9 @@ impl UopCacheFrontend {
         }
     }
 
-    fn set_and_tag(&self, ip: xbc_isa::Addr) -> (usize, u64) {
-        let sets = self.cache.sets() as u64;
-        let key = ip.raw();
-        ((key % sets) as usize, key / sets)
-    }
-
     fn install_pending(&mut self) {
-        for d in std::mem::take(&mut self.fill.pending) {
-            let (set, tag) = self.set_and_tag(d.inst.ip);
+        for d in self.fill.pending.drain(..) {
+            let (set, tag) = self.cache.split(d.inst.ip.raw());
             self.cache.insert(set, tag, d.inst.uops);
         }
     }
@@ -145,8 +139,7 @@ impl UopCacheFrontend {
         probe: &mut Probe<'_, S>,
     ) {
         if self.stall > 0 {
-            self.stall -= 1;
-            probe.emit(Event::Cycle(CycleKind::Stall));
+            probe.emit_cycles(CycleKind::Stall, std::mem::take(&mut self.stall));
             return;
         }
         // Deliver a consecutive run of cached instructions, up to the
@@ -155,7 +148,7 @@ impl UopCacheFrontend {
         let mut any_hit = false;
         while delivered < self.cfg.timing.renamer_width {
             let Some(d) = oracle.current().copied() else { break };
-            let (set, tag) = self.set_and_tag(d.inst.ip);
+            let (set, tag) = self.cache.split(d.inst.ip.raw());
             if self.cache.get(set, tag).is_none() {
                 if !any_hit {
                     // Leading miss: switch to build mode.
@@ -212,13 +205,22 @@ impl UopCacheFrontend {
                 let kind = self.engine.cycle(oracle, &mut self.preds, probe, &mut self.fill);
                 self.install_pending();
                 if !oracle.done() && oracle.uop_offset() == 0 {
-                    let (set, tag) = self.set_and_tag(oracle.fetch_ip());
+                    let (set, tag) = self.cache.split(oracle.fetch_ip().raw());
                     if self.cache.probe(set, tag).is_some() {
                         self.mode = Mode::Delivery;
                         probe.emit(Event::SwitchToDelivery);
+                        probe.emit(Event::Cycle(kind));
+                        return;
                     }
                 }
-                probe.emit(Event::Cycle(kind));
+                if kind == CycleKind::Stall {
+                    // A stall cycle builds nothing and moves nothing, so
+                    // the switch probe above misses on every remaining
+                    // stall cycle too: retire them all in this step.
+                    probe.emit_cycles(CycleKind::Stall, self.engine.take_stall() + 1);
+                } else {
+                    probe.emit(Event::Cycle(kind));
+                }
             }
             Mode::Delivery => self.delivery_cycle(oracle, probe),
         }

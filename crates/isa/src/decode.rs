@@ -27,15 +27,22 @@ use crate::{BranchKind, Inst, Uop, UopId, UopKind};
 /// assert!(!uops[0].ends_inst);
 /// ```
 pub fn decode(inst: &Inst) -> Vec<Uop> {
+    let mut out = Vec::with_capacity(inst.uops as usize);
+    decode_into(inst, &mut out);
+    out
+}
+
+/// Appends the uop expansion of `inst` to `out` — the buffer-reusing
+/// form of [`decode`], for fill paths that must not allocate per
+/// instruction.
+pub fn decode_into(inst: &Inst, out: &mut Vec<Uop>) {
     let n = inst.uops as usize;
-    let mut out = Vec::with_capacity(n);
     for slot in 0..n {
         let last = slot + 1 == n;
         let kind = uop_kind_for_slot(inst, slot, last);
         let branch = if last { inst.branch } else { BranchKind::None };
         out.push(Uop::new(UopId::new(inst.ip, slot as u8), kind, last, branch));
     }
-    out
 }
 
 /// Number of uops `decode` will produce without materializing them.

@@ -35,6 +35,6 @@ mod inst;
 mod uop;
 
 pub use addr::Addr;
-pub use decode::{decode, decoded_len};
+pub use decode::{decode, decode_into, decoded_len};
 pub use inst::{BranchKind, Inst};
 pub use uop::{Uop, UopId, UopKind};

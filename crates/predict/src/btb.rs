@@ -63,21 +63,15 @@ impl Btb {
         Btb { cache: SetAssoc::new(cfg.entries / cfg.ways, cfg.ways) }
     }
 
-    fn set_and_tag(&self, ip: Addr) -> (usize, u64) {
-        let sets = self.cache.sets() as u64;
-        let key = ip.raw();
-        ((key % sets) as usize, key / sets)
-    }
-
     /// Looks up the branch at `ip`, updating recency.
     pub fn lookup(&mut self, ip: Addr) -> Option<BtbEntry> {
-        let (set, tag) = self.set_and_tag(ip);
+        let (set, tag) = self.cache.split(ip.raw());
         self.cache.get(set, tag).copied()
     }
 
     /// Installs or refreshes the entry for the branch at `ip`.
     pub fn update(&mut self, ip: Addr, entry: BtbEntry) {
-        let (set, tag) = self.set_and_tag(ip);
+        let (set, tag) = self.cache.split(ip.raw());
         self.cache.insert(set, tag, entry);
     }
 

@@ -169,23 +169,27 @@ fn cmd_run_streamed(flags: &Flags, spec: &FrontendSpec, check: bool) {
     let mut stream = TraceStream::new(input).unwrap_or_else(|e| fail(&format!("open stream: {e}")));
     let name = stream.name().to_owned();
     let mut fe = spec.instantiate();
-    let m = if let Some(path) = flags.get("trace-events") {
-        let mut sink = xbc_obs::VecSink::new();
-        let m = if check {
-            xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, &mut sink)
-        } else {
-            fe.run_streamed_traced(&mut stream, &mut sink)
-        };
+    let mut traced = flags.get("trace-events").map(|path| (path, xbc_obs::VecSink::new()));
+    let m = match (&mut traced, check) {
+        (Some((_, sink)), true) => {
+            xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, sink)
+        }
+        (Some((_, sink)), false) => fe.run_streamed_traced(&mut stream, sink),
+        (None, true) => {
+            xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, &mut xbc_obs::NullSink)
+        }
+        (None, false) => fe.run_streamed(&mut stream),
+    };
+    // Nothing computed from the stream is reported before its verdict.
+    if let Err(e) = stream.finish() {
+        fail(&format!("stream {name}: {e}"));
+    }
+    if let Some((path, sink)) = traced {
         let mut out = String::new();
         xbc_obs::jsonl::write_section(&mut out, &spec.label(), &name, &sink.events);
         std::fs::write(path, out).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         eprintln!("wrote {path} ({} events)", sink.events.len());
-        m
-    } else if check {
-        xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, &mut xbc_obs::NullSink)
-    } else {
-        fe.run_streamed(&mut stream)
-    };
+    }
     println!("{} on {} (streamed, {} uops):", spec.label(), name, m.total_uops());
     println!("{m}");
 }

@@ -26,8 +26,9 @@
 //! way through [`Store::get_or_capture_shared`].
 //!
 //! Replay is streaming-first: a cell whose trace is already stored
-//! replays through [`Store::open_trace_stream`] and
-//! `Frontend::run_streamed`, keeping worker memory O(window). The first
+//! replays through `xbc_sim::replay_stored` ([`Store::replay_trace_stream`]
+//! and `Frontend::run_streamed`), keeping worker memory O(window) and
+//! publishing its row only once the entry passed its verdict. The first
 //! cell of a not-yet-captured trace *overlaps* capture with its own
 //! simulation: the leader of [`Store::stream_capture_shared`] replays
 //! the committed-instruction stream live off a bounded channel while a
@@ -54,10 +55,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+use xbc_frontend::FrontendMetrics;
 use xbc_sim::{
-    capture_share, resolve_threads, result_key, rows_from_json, FrontendSpec, Row, SweepBench,
+    capture_share, replay_stored, resolve_threads, result_key, rows_from_json, FrontendSpec, Row,
+    SweepBench,
 };
-use xbc_store::{CaptureOutcome, Flight, SingleFlight, Store, StreamCapture};
+use xbc_store::{CaptureOutcome, Flight, SingleFlight, Store, StreamCapture, StreamReplay};
 use xbc_workload::{standard_traces, Trace, TraceSpec};
 
 #[cfg(feature = "check")]
@@ -240,6 +243,24 @@ fn deliver(shared: &Shared, job: &Job, ci: usize, row: Row, source: CellSource) 
     job.row_cv.notify_all();
 }
 
+/// The row of a cell replayed from the store and verified, with the
+/// job's counters bumped for it.
+fn stored_row(
+    job: &Job,
+    spec: &TraceSpec,
+    fespec: &FrontendSpec,
+    (m, open_ms, sim_ms): (FrontendMetrics, u64, u64),
+) -> Row {
+    job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
+    job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
+    job.streamed_cells.fetch_add(1, Ordering::Relaxed);
+    let mut row = Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
+    // The stream open is this cell's own trace cost (streamed cells
+    // share nothing), analogous to a capture share of 1.
+    row.elapsed_ms = open_ms + sim_ms;
+    row
+}
+
 /// Simulates one cell: streaming replay when the trace is already
 /// stored, otherwise the shared resident capture — mirroring `Sweep`'s
 /// phase 3 exactly (same `result_key`, same `capture_share` arithmetic,
@@ -248,29 +269,12 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
     let cell = &job.cells[ci];
     let spec = &job.traces[cell.trace];
     let fespec = &job.frontends[cell.fe];
-    let mut frontend = fespec.instantiate();
-    let streamed = shared.store.as_ref().and_then(|store| {
-        let open0 = Instant::now();
-        let stream = store.open_trace_stream(spec, job.insts)?;
-        Some((stream, open0.elapsed().as_millis() as u64))
-    });
+    let streamed = shared.store.as_ref().map(|store| replay_stored(store, spec, fespec, job.insts));
     match streamed {
-        Some((mut stream, open_ms)) => {
-            let sim0 = Instant::now();
-            let m = frontend.run_streamed(&mut stream);
-            let sim_ms = sim0.elapsed().as_millis() as u64;
-            job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
-            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-            job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-            let mut row = Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
-            // The stream open+validation is this cell's own trace cost
-            // (streamed cells share nothing), analogous to a capture
-            // share of 1.
-            row.elapsed_ms = open_ms + sim_ms;
-            row
-        }
-        None => {
-            // Cold trace. The first cell to arrive resolves it for the
+        Some(StreamReplay::Verified(replayed)) => stored_row(job, spec, fespec, replayed),
+        _ => {
+            // Cold trace (or its entry just failed its verdict and was
+            // evicted). The first cell to arrive resolves it for the
             // job: with streaming capture it leads an overlapped
             // capture+replay (simulating live off the capture channel,
             // smuggling its finished row out through `leader_row`);
@@ -284,7 +288,7 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
                             StreamCapture::Leader(mut cap) => {
                                 let t0 = Instant::now();
                                 let mut src = cap.take_source();
-                                let m = frontend.run_streamed(&mut src);
+                                let m = fespec.instantiate().run_streamed(&mut src);
                                 let cap_ms = cap.finish();
                                 let wall = t0.elapsed().as_millis() as u64;
                                 job.captures.fetch_add(1, Ordering::Relaxed);
@@ -346,7 +350,7 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
             match handle {
                 TraceHandle::Resident(trace, cap_ms) => {
                     let sim0 = Instant::now();
-                    let m = frontend.run(trace);
+                    let m = fespec.instantiate().run(trace);
                     let sim_ms = sim0.elapsed().as_millis() as u64;
                     job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
                     let mut row =
@@ -356,30 +360,14 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
                 }
                 TraceHandle::OnDisk => {
                     let store = shared.store.as_ref().expect("OnDisk handle implies a store");
-                    let open0 = Instant::now();
-                    match store.open_trace_stream(spec, job.insts) {
-                        Some(mut stream) => {
-                            let open_ms = open0.elapsed().as_millis() as u64;
-                            let sim0 = Instant::now();
-                            let m = frontend.run_streamed(&mut stream);
-                            let sim_ms = sim0.elapsed().as_millis() as u64;
-                            job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
-                            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                            job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-                            let mut row = Row::new(
-                                spec.name,
-                                &spec.suite.to_string(),
-                                *fespec,
-                                job.insts,
-                                &m,
-                            );
-                            row.elapsed_ms = open_ms + sim_ms;
-                            row
-                        }
-                        None => {
+                    match replay_stored(store, spec, fespec, job.insts) {
+                        StreamReplay::Verified(replayed) => stored_row(job, spec, fespec, replayed),
+                        StreamReplay::Miss | StreamReplay::Corrupt => {
                             // The entry was evicted between the leader
-                            // landing it and this cell streaming it —
-                            // fall back to the shared resident capture.
+                            // landing it and this cell streaming it, or
+                            // failed its verdict just now — fall back to
+                            // the shared resident capture, on a fresh
+                            // frontend.
                             let c0 = Instant::now();
                             let (trace, outcome) = store.get_or_capture_shared(spec, job.insts);
                             if !matches!(outcome, CaptureOutcome::Joined) {
@@ -388,7 +376,7 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
                             let cap_ms = c0.elapsed().as_millis() as u64;
                             job.capture_ms.fetch_add(cap_ms, Ordering::Relaxed);
                             let sim0 = Instant::now();
-                            let m = frontend.run(&trace);
+                            let m = fespec.instantiate().run(&trace);
                             let sim_ms = sim0.elapsed().as_millis() as u64;
                             job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
                             let mut row = Row::new(

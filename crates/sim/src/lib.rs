@@ -48,7 +48,7 @@ pub use inspect::render_inspect;
 pub use report::{average_bandwidth, average_miss_rate, pivot_table, rows_from_json, to_json, Row};
 pub use spec::FrontendSpec;
 pub use sweep::{
-    capture_share, map_traces_parallel, resolve_threads, result_key, run_checked,
+    capture_share, map_traces_parallel, replay_stored, resolve_threads, result_key, run_checked,
     run_checked_oracle, run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep,
     CODE_VERSION,
 };

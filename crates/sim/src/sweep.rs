@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xbc_frontend::{Frontend, FrontendMetrics, OracleStream, Reconciler};
 use xbc_obs::{jsonl, EventSink, NullSink, VecSink};
-use xbc_store::{CaptureOutcome, Store, StreamCapture};
+use xbc_store::{CaptureOutcome, Store, StreamCapture, StreamReplay};
 use xbc_workload::{InstSource, Trace, TraceSpec};
 
 /// Bumped whenever simulator semantics change, so stale cached results
@@ -384,20 +384,16 @@ impl Sweep {
                         (m, wall, cap_ms, wall.saturating_sub(cap_ms))
                     } else {
                         let store = self.store.as_ref().expect("on-disk handle implies a store");
-                        let open0 = Instant::now();
-                        match store.open_trace_stream(spec, self.insts) {
-                            Some(mut stream) => {
-                                let open_ms = open0.elapsed().as_millis() as u64;
-                                let sim0 = Instant::now();
-                                let mut frontend = fe.instantiate();
-                                let m = frontend.run_streamed(&mut stream);
-                                let sim_ms = sim0.elapsed().as_millis() as u64;
+                        match replay_stored(store, spec, fe, self.insts) {
+                            StreamReplay::Verified((m, open_ms, sim_ms)) => {
                                 (m, open_ms + sim_ms, 0, sim_ms)
                             }
-                            None => {
-                                // Eviction race: the entry vanished
+                            StreamReplay::Miss | StreamReplay::Corrupt => {
+                                // Eviction race (the entry vanished
                                 // between the leader's capture and this
-                                // replay. Regenerate resident.
+                                // replay), or the entry failed its
+                                // verdict and was evicted just now.
+                                // Regenerate resident on a fresh frontend.
                                 let c0 = Instant::now();
                                 let (trace, outcome) =
                                     store.get_or_capture_shared(spec, self.insts);
@@ -497,6 +493,27 @@ pub fn run_checked(fe: &mut dyn Frontend, trace: &Trace, trace_name: &str) -> Fr
     run_checked_traced(fe, trace, trace_name, &mut NullSink)
 }
 
+/// Replays one cell from the store's copy of its trace on a fresh
+/// frontend: open, streamed replay and the entry's verdict in one
+/// [`Store::replay_trace_stream`] call. The sweep and the daemon both
+/// replay stored traces through here only, so a row is never published
+/// from an entry that failed its verdict. A verified replay yields the
+/// metrics plus the open and replay milliseconds.
+pub fn replay_stored(
+    store: &Store,
+    spec: &TraceSpec,
+    fe: &FrontendSpec,
+    insts: usize,
+) -> StreamReplay<(FrontendMetrics, u64, u64)> {
+    let open0 = Instant::now();
+    store.replay_trace_stream(spec, insts, |stream| {
+        let open_ms = open0.elapsed().as_millis() as u64;
+        let sim0 = Instant::now();
+        let m = fe.instantiate().run_streamed(stream);
+        (m, open_ms, sim0.elapsed().as_millis() as u64)
+    })
+}
+
 /// [`run_checked`] with an event sink attached: every step goes through
 /// [`Frontend::step_traced`], so the sink sees the full `xbc-obs` event
 /// stream while the per-cycle identities are asserted. With a
@@ -520,10 +537,12 @@ pub fn run_checked_traced(
 /// every per-cycle identity asserted), so verified replays too are
 /// O(window) in host memory.
 ///
+/// A source that can fail (a `TraceStream`) ends early instead of
+/// panicking; check its verdict before trusting the result.
+///
 /// # Panics
 ///
-/// Same contract as [`run_checked`]; additionally panics on mid-stream
-/// corruption (see `xbc_workload::TraceStream`).
+/// Same contract as [`run_checked`].
 pub fn run_checked_streamed(
     fe: &mut dyn Frontend,
     source: &mut dyn InstSource,

@@ -44,13 +44,13 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xbc_workload::codec::{crc32, FORMAT_VERSION};
-use xbc_workload::{ChannelSource, DynInst, Trace, TraceReader, TraceSpec, TraceStream};
+use xbc_workload::{ChannelSource, DynInst, Trace, TraceSpec, TraceStream};
 
 /// Magic of result-cache entries.
 const RESULT_MAGIC: [u8; 4] = *b"XBR1";
@@ -400,6 +400,20 @@ pub enum StreamCapture<'a> {
     Joined,
 }
 
+/// What [`Store::replay_trace_stream`] resolved to.
+#[must_use]
+pub enum StreamReplay<T> {
+    /// No usable entry (absent, or evicted for a bad header); the replay
+    /// did not run.
+    Miss,
+    /// The replay consumed the entry and the entry passed its verdict.
+    Verified(T),
+    /// The replay ran but the entry failed its verdict: it was evicted
+    /// and the replay's result dropped. Whatever the replay mutated is
+    /// spent; fall back as on a miss, with fresh state.
+    Corrupt,
+}
+
 /// A streamed capture in flight: a background thread is executing the
 /// workload and encoding it to the store, tee'ing every chunk into a
 /// bounded channel. The holder runs its simulation off
@@ -689,77 +703,97 @@ impl Store {
         }
     }
 
-    /// Opens a cached trace as a validated *streaming* source, or
-    /// returns `None` on a miss.
+    /// Opens a cached trace as a *streaming* source, or returns `None` on
+    /// a miss.
     ///
     /// This is the replay path for consumers that must keep host memory
-    /// O(window) — the `xbc-serve` daemon — instead of materialising the
-    /// whole `Trace`. Because a mid-replay decode error would surface as
-    /// a panic deep inside a simulation (`TraceStream` fails loudly by
-    /// contract), the entry is fully validated *first*: one streaming
-    /// decode of every record, checking the header identity and the
-    /// CRC32 trailer in O(block) memory. That pass is not cheap — it
-    /// decodes the whole trace, as much work again as the replay's own
-    /// decode. A corrupt or mismatched entry is evicted and reported as
-    /// `None`, exactly like [`Store::load_trace`]; otherwise the same file
-    /// handle is rewound for the returned stream, so the replay reads the
-    /// very file that was validated (a rename onto the entry's path in
-    /// between cannot swap in unvalidated bytes). A panic mid-replay then
-    /// means truly concurrent corruption, which is worth being loud
-    /// about.
+    /// O(window) instead of materialising the whole `Trace`. Opening
+    /// checks only the header and its identity (name, instruction
+    /// count); a bad or mismatched header is evicted and reported as
+    /// `None`, exactly like [`Store::load_trace`]. The records and the
+    /// CRC trailer are checked by the replay's own decode, and the
+    /// verdict is [`TraceStream::finish`]: a caller must not publish
+    /// anything it computed from the stream until that returns `Ok`.
+    /// [`Store::replay_trace_stream`] wraps open, replay and verdict in
+    /// one call, evicting an entry that fails it.
     ///
     /// An absent entry returns `None` *without* counting a miss, so a
     /// caller falling back to [`Store::get_or_capture`] doesn't count
-    /// the same miss twice. A validated hit counts `trace_hits` and
-    /// `bytes_read` once (the validation scan; the replay reads the same
-    /// bytes again but the entry is one logical read).
+    /// the same miss twice. An opened hit counts `trace_hits` and
+    /// `bytes_read` once.
     pub fn open_trace_stream(
         &self,
         spec: &TraceSpec,
         insts: usize,
     ) -> Option<TraceStream<BufReader<fs::File>>> {
+        let opened = self.open_stream_uncounted(spec, insts)?;
+        self.count_trace_hit(&opened.meta);
+        Some(opened.stream)
+    }
+
+    /// Replays a cached trace through `replay` and returns its result only
+    /// if the entry passes the stream's verdict — the one store-backed
+    /// replay path, so every caller checks the same way.
+    ///
+    /// The entry is opened as by [`Store::open_trace_stream`] and decoded
+    /// exactly once, by the replay itself; the CRC trailer is checked
+    /// when the replay reaches it, and whatever it left unread is checked
+    /// after. An entry that fails is evicted (counted as corrupt and as a
+    /// miss) and the result dropped: whatever `replay` mutated has seen
+    /// unvalidated instructions and must be discarded too.
+    pub fn replay_trace_stream<T>(
+        &self,
+        spec: &TraceSpec,
+        insts: usize,
+        replay: impl FnOnce(&mut TraceStream<BufReader<fs::File>>) -> T,
+    ) -> StreamReplay<T> {
+        let Some(mut opened) = self.open_stream_uncounted(spec, insts) else {
+            return StreamReplay::Miss;
+        };
+        let value = replay(&mut opened.stream);
+        match opened.stream.finish() {
+            Ok(()) => {
+                self.count_trace_hit(&opened.meta);
+                StreamReplay::Verified(value)
+            }
+            Err(e) => {
+                self.evict_opened(&opened.path, &opened.meta, &e.to_string());
+                StreamReplay::Corrupt
+            }
+        }
+    }
+
+    /// Opens the entry for `(spec, insts)` and checks its header identity,
+    /// evicting a bad one; counts nothing on success.
+    fn open_stream_uncounted(&self, spec: &TraceSpec, insts: usize) -> Option<OpenedStream> {
         let path = self.trace_path(spec, insts);
         let file = fs::File::open(&path).ok()?;
-        let size = file.metadata().map(|m| m.len()).unwrap_or(0);
+        let meta = file.metadata().ok()?;
         // The decoder reads whole blocks, which bypass the BufReader's
         // own buffer; the wrapper stays because it is in the signature.
-        let mut reader = match TraceReader::new(BufReader::new(file)) {
-            Ok(r) => r,
+        let stream = match TraceStream::new(BufReader::new(file)) {
+            Ok(s) => s,
             Err(e) => {
-                self.evict(&path, &e.to_string());
+                self.evict_opened(&path, &meta, &e.to_string());
                 return None;
             }
         };
-        if reader.name() != spec.name || reader.inst_count() != insts as u64 {
-            self.evict(
-                &path,
-                &format!(
-                    "entry is {} x {} insts, wanted {} x {insts} insts",
-                    reader.name(),
-                    reader.inst_count(),
-                    spec.name
-                ),
+        if stream.name() != spec.name || stream.inst_count() != insts as u64 {
+            let why = format!(
+                "entry is {} x {} insts, wanted {} x {insts} insts",
+                stream.name(),
+                stream.inst_count(),
+                spec.name
             );
+            self.evict_opened(&path, &meta, &why);
             return None;
         }
-        if let Err(e) = reader.skip_rest() {
-            self.evict(&path, &e.to_string());
-            return None;
-        }
-        // Validated end to end; rewind the same handle for the replay.
-        let mut input = reader.into_inner();
-        input.rewind().ok()?;
-        match TraceStream::new(input) {
-            Ok(stream) => {
-                self.c.trace_hits.fetch_add(1, Ordering::Relaxed);
-                self.c.bytes_read.fetch_add(size, Ordering::Relaxed);
-                Some(stream)
-            }
-            Err(e) => {
-                self.evict(&path, &e.to_string());
-                None
-            }
-        }
+        Some(OpenedStream { stream, path, meta })
+    }
+
+    fn count_trace_hit(&self, meta: &fs::Metadata) {
+        self.c.trace_hits.fetch_add(1, Ordering::Relaxed);
+        self.c.bytes_read.fetch_add(meta.len(), Ordering::Relaxed);
     }
 
     /// Captures `(spec, insts)` *streamed* straight into the store:
@@ -1060,8 +1094,25 @@ impl Store {
     /// already-open descriptor on POSIX, so in-flight loads finish
     /// safely either way.
     fn evict(&self, path: &Path, why: &str) {
-        eprintln!("[xbc-store] discarding {}: {why}; regenerating", path.display());
         let _lock = EntryLock::acquire(path);
+        self.evict_locked(path, why);
+    }
+
+    /// [`Store::evict`] for an entry judged through a handle opened
+    /// earlier (`meta` is that handle's metadata): deletes it only if the
+    /// path still names that very file. A stream is judged after its
+    /// whole replay, and by then a concurrent reader of the same corrupt
+    /// entry may have evicted and regenerated it; deleting (and counting)
+    /// the good replacement would be wrong.
+    fn evict_opened(&self, path: &Path, meta: &fs::Metadata, why: &str) {
+        let _lock = EntryLock::acquire(path);
+        if fs::metadata(path).is_ok_and(|now| same_file(&now, meta)) {
+            self.evict_locked(path, why);
+        }
+    }
+
+    fn evict_locked(&self, path: &Path, why: &str) {
+        eprintln!("[xbc-store] discarding {}: {why}; regenerating", path.display());
         fs::remove_file(path).ok();
         self.c.corrupt_entries.fetch_add(1, Ordering::Relaxed);
         if path.extension().is_some_and(|e| e == "xbt") {
@@ -1070,6 +1121,27 @@ impl Store {
             self.c.result_misses.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// A trace entry opened for streaming, with what an eviction needs.
+struct OpenedStream {
+    stream: TraceStream<BufReader<fs::File>>,
+    path: PathBuf,
+    meta: fs::Metadata,
+}
+
+/// Whether two metadata snapshots describe the same file.
+#[cfg(unix)]
+fn same_file(a: &fs::Metadata, b: &fs::Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
+
+/// Whether two metadata snapshots describe the same file (size and
+/// modification time where inode numbers are unavailable).
+#[cfg(not(unix))]
+fn same_file(a: &fs::Metadata, b: &fs::Metadata) -> bool {
+    a.len() == b.len() && a.modified().ok() == b.modified().ok()
 }
 
 #[cfg(test)]
@@ -1253,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn open_trace_stream_hits_validates_and_evicts() {
+    fn open_trace_stream_hits_and_evicts_bad_headers() {
         let s = Scratch::new("stream");
         let store = Store::open(&s.0).unwrap();
         let spec = &standard_traces()[0];
@@ -1262,7 +1334,7 @@ mod tests {
         assert!(store.open_trace_stream(spec, 1_000).is_none());
         assert_eq!(store.stats().trace_misses, 0);
         let resident = store.get_or_capture(spec, 1_000);
-        // Validated hit: streamed records match the resident capture.
+        // Hit: streamed records match the resident capture.
         let mut stream = store.open_trace_stream(spec, 1_000).expect("warm entry streams");
         assert_eq!(stream.name(), spec.name);
         assert_eq!(stream.inst_count(), 1_000);
@@ -1273,18 +1345,71 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 1_000);
+        stream.finish().expect("intact entry passes the verdict");
         assert_eq!(store.stats().trace_hits, 1);
         // Wrong inst count: different entry, absent, quiet None.
         assert!(store.open_trace_stream(spec, 999).is_none());
-        // Corruption is caught by the validation scan, not mid-replay.
+        // A header that names another trace is caught at open.
+        let path = store.trace_path(spec, 1_000);
+        let mut raw = fs::read(&path).unwrap();
+        raw[10] ^= 0x20; // first byte of the name, after magic/version/len
+        fs::write(&path, &raw).unwrap();
+        assert!(store.open_trace_stream(spec, 1_000).is_none());
+        assert!(!path.exists(), "mismatched entry must be evicted");
+        assert_eq!(store.stats().corrupt_entries, 1);
+        assert_eq!(store.stats().trace_hits, 1);
+    }
+
+    #[test]
+    fn replay_trace_stream_publishes_only_verified_replays() {
+        use xbc_workload::InstSource;
+        let s = Scratch::new("stream-verdict");
+        let store = Store::open(&s.0).unwrap();
+        let spec = &standard_traces()[1];
+        let drain = |st: &mut TraceStream<BufReader<fs::File>>| {
+            std::iter::from_fn(|| st.next_inst()).count()
+        };
+        assert!(matches!(store.replay_trace_stream(spec, 1_000, drain), StreamReplay::Miss));
+        store.get_or_capture(spec, 1_000);
+        let before = store.stats();
+        match store.replay_trace_stream(spec, 1_000, drain) {
+            StreamReplay::Verified(n) => assert_eq!(n, 1_000),
+            _ => panic!("an intact entry must verify"),
+        }
+        assert_eq!(store.stats().trace_hits, before.trace_hits + 1);
+        // Mid-record corruption passes the header check at open; the
+        // replay runs over it without panicking, and the verdict evicts
+        // the entry, counting it as corrupt and as a miss but not a hit.
         let path = store.trace_path(spec, 1_000);
         let mut raw = fs::read(&path).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x5A;
         fs::write(&path, &raw).unwrap();
-        assert!(store.open_trace_stream(spec, 1_000).is_none());
+        let mut ran = false;
+        let outcome = store.replay_trace_stream(spec, 1_000, |st| {
+            ran = true;
+            drain(st)
+        });
+        assert!(ran, "the header is intact, so the replay runs");
+        assert!(matches!(outcome, StreamReplay::Corrupt));
         assert!(!path.exists(), "corrupt entry must be evicted");
+        let after = store.stats();
+        assert_eq!(after.corrupt_entries, 1);
+        assert_eq!(after.trace_misses, before.trace_misses + 1);
+        assert_eq!(after.trace_hits, before.trace_hits + 1);
+        // An entry regenerated while a stale reader was still replaying
+        // the corrupt one is not the one that reader judged: it stays.
+        fs::write(&path, &raw).unwrap();
+        let outcome = store.replay_trace_stream(spec, 1_000, |st| {
+            let n = drain(st);
+            fs::remove_file(&path).unwrap();
+            store.get_or_capture(spec, 1_000);
+            n
+        });
+        assert!(matches!(outcome, StreamReplay::Corrupt));
+        assert!(path.exists(), "the regenerated entry must survive");
         assert_eq!(store.stats().corrupt_entries, 1);
+        assert!(matches!(store.replay_trace_stream(spec, 1_000, drain), StreamReplay::Verified(_)));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! bank × way organization and implements its own storage on top of the
 //! same LRU discipline.
 
+use crate::SetIndex;
 use std::fmt;
 
 /// Statistics kept by a [`SetAssoc`] cache.
@@ -55,7 +56,9 @@ struct Line<T> {
 /// true-LRU replacement inside each set.
 ///
 /// The caller owns the index/tag derivation (different structures hash IPs
-/// differently), so the API works on raw `set`/`tag` integers.
+/// differently), so the API works on raw `set`/`tag` integers;
+/// [`SetAssoc::split`] is the plain `(key % sets, key / sets)` split most
+/// callers use.
 ///
 /// # Examples
 ///
@@ -73,7 +76,7 @@ struct Line<T> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssoc<T> {
-    sets: usize,
+    index: SetIndex,
     ways: usize,
     lines: Vec<Option<Line<T>>>,
     stamp: u64,
@@ -91,13 +94,20 @@ impl<T> SetAssoc<T> {
         assert!(ways > 0, "cache needs at least one way");
         let mut lines = Vec::with_capacity(sets * ways);
         lines.resize_with(sets * ways, || None);
-        SetAssoc { sets, ways, lines, stamp: 0, stats: CacheStats::default() }
+        SetAssoc { index: SetIndex::new(sets), ways, lines, stamp: 0, stats: CacheStats::default() }
     }
 
     /// Number of sets.
     #[inline]
     pub fn sets(&self) -> usize {
-        self.sets
+        self.index.sets()
+    }
+
+    /// `(key % sets, key / sets)`: the set a key maps to and the tag it
+    /// is stored under, without a hardware divide (see [`SetIndex`]).
+    #[inline]
+    pub fn split(&self, key: u64) -> (usize, u64) {
+        self.index.split(key)
     }
 
     /// Associativity.
@@ -118,7 +128,7 @@ impl<T> SetAssoc<T> {
     }
 
     fn base(&self, set: usize) -> usize {
-        debug_assert!(set < self.sets, "set {set} out of range {}", self.sets);
+        debug_assert!(set < self.sets(), "set {set} out of range {}", self.sets());
         set * self.ways
     }
 

@@ -73,6 +73,9 @@ pub struct IcAccess {
 pub struct ICache {
     cfg: ICacheConfig,
     cache: SetAssoc<()>,
+    /// `log2(line_bytes)`: the line number is a shift, since
+    /// [`ICacheConfig::sets`] asserts a power-of-two line size.
+    line_shift: u32,
 }
 
 impl ICache {
@@ -83,7 +86,11 @@ impl ICache {
     /// Panics if the geometry is inconsistent (see [`ICacheConfig::sets`]).
     pub fn new(cfg: ICacheConfig) -> Self {
         let sets = cfg.sets();
-        ICache { cfg, cache: SetAssoc::new(sets, cfg.ways) }
+        ICache {
+            cfg,
+            cache: SetAssoc::new(sets, cfg.ways),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+        }
     }
 
     /// The configured geometry.
@@ -98,9 +105,7 @@ impl ICache {
     }
 
     fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
-        let line = addr.raw() / self.cfg.line_bytes as u64;
-        let sets = self.cache.sets() as u64;
-        ((line % sets) as usize, line / sets)
+        self.cache.split(addr.raw() >> self.line_shift)
     }
 
     /// Fetches the line containing `addr`, allocating it on a miss.

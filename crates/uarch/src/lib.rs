@@ -9,6 +9,8 @@
 //!   (paper Figure 6),
 //! * [`Decoder`] — the decode-width budget of the build-mode pipeline
 //!   (paper §2.1),
+//! * [`SetIndex`] — the division-free `(key % sets, key / sets)` split
+//!   every set-indexed structure uses,
 //! * [`Histogram`] — fixed-range histograms for block-length and
 //!   bandwidth distributions (paper Figure 1).
 //!
@@ -31,8 +33,10 @@ mod cache;
 mod decoder;
 mod histogram;
 mod icache;
+mod index;
 
 pub use cache::{CacheStats, SetAssoc};
 pub use decoder::{Decoder, DecoderConfig};
 pub use histogram::Histogram;
 pub use icache::{ICache, ICacheConfig, IcAccess};
+pub use index::SetIndex;

@@ -472,9 +472,14 @@ impl<W: Write + Seek> StreamEncoder<W> {
 
     /// Appends one dynamic instruction.
     ///
+    /// Inlined into the capture loop, which calls it once per
+    /// instruction: left to the optimizer the call was outlined in some
+    /// builds, costing capture throughput.
+    ///
     /// # Panics
     ///
     /// Panics if called more than `count` times.
+    #[inline]
     pub fn record(&mut self, d: &DynInst) -> Result<(), TraceError> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
@@ -775,12 +780,6 @@ impl<R: Read> TraceReader<R> {
         self.stats
     }
 
-    /// Gives back the input. Bytes already read into the block are lost,
-    /// so a caller that wants to read the input again must rewind it.
-    pub fn into_inner(self) -> R {
-        self.input
-    }
-
     /// Decodes up to `max` records onto the end of `out` and returns how
     /// many it appended. Reaching the last record within the call also
     /// verifies the CRC trailer, so a return value below `max` means the
@@ -796,7 +795,8 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Decodes and discards the rest of the trace, checking every record
-    /// and the CRC trailer: a full validation pass in O(block) memory.
+    /// and the CRC trailer in O(block) memory: the whole validation pass
+    /// on a fresh reader, the verdict's tail on a partly read one.
     ///
     /// # Errors
     ///
@@ -905,8 +905,8 @@ impl<R: Read> TraceReader<R> {
         Ok(self.consume(N)?.try_into().expect("consume returns exactly N bytes"))
     }
 
-    /// Checks the CRC trailer against everything read before it and fuses
-    /// the reader.
+    /// Checks the CRC trailer against everything read before it, requires
+    /// the input to end right after it, and fuses the reader.
     fn read_trailer(&mut self) -> Result<(), TraceError> {
         self.done = true;
         self.crc = crc32_update(self.crc, &self.block[self.crc_from..self.pos]);
@@ -917,6 +917,10 @@ impl<R: Read> TraceReader<R> {
                 "CRC mismatch: stored {stored:#010x}, computed {:#010x}",
                 self.crc
             )));
+        }
+        self.crc_from = self.pos;
+        if self.pos < self.end || self.refill()? {
+            return Err(TraceError::Corrupt("trailing bytes after the CRC trailer".into()));
         }
         Ok(())
     }
@@ -1207,6 +1211,21 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 1;
         assert!(TraceReader::new(bad.as_slice()).unwrap().skip_rest().is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_crc_are_rejected() {
+        let t = standard_traces()[0].capture(500);
+        let clean = encode(&t);
+        for extra in [1usize, 7, BLOCK + 3] {
+            let mut bad = clean.clone();
+            bad.resize(clean.len() + extra, 0);
+            assert!(validate(bad.as_slice()).is_err(), "{extra} trailing bytes accepted");
+            assert!(validate(ShortReads::new(&bad, extra as u64)).is_err());
+            assert!(Trace::load(bad.as_slice()).is_err(), "{extra} trailing bytes loaded");
+        }
+        validate(ShortReads::new(&clean, 9)).unwrap();
+        assert_eq!(Trace::load(clean.as_slice()).unwrap().insts(), t.insts());
     }
 
     #[test]

@@ -64,20 +64,20 @@ pub trait InstSource {
 /// Streams a serialized `XBT1` trace as an [`InstSource`], decoding out
 /// of one read block — O(block) memory however long the trace is.
 ///
-/// # Panics
-///
-/// `next_inst` and `fill` panic on mid-stream corruption (I/O error, CRC
-/// mismatch, truncation). A replay that has already delivered uops from
-/// a stream that turns out to be corrupt cannot produce a correct
-/// result, so there is nothing graceful left to do; callers that need
-/// corruption to degrade to a miss (the store) validate the whole file
-/// with a full decode pass first (`Store::open_trace_stream`), which
-/// costs as much again as the replay's own decode.
+/// Every record is decoded with all its structural checks and the CRC
+/// trailer is verified as the stream reaches it, so one pass both feeds
+/// the replay and validates the bytes. The stream never panics on
+/// corruption: the first record, CRC or I/O error ends it (the source
+/// reports end of stream from then on) and is kept for
+/// [`TraceStream::finish`], the verdict. Instructions yielded before the
+/// error are unvalidated, so a replay's result may be published only
+/// after `finish` returns `Ok` — the store's `replay_trace_stream` does
+/// exactly that for every store-backed replay.
 ///
 /// # Examples
 ///
 /// ```
-/// use xbc_workload::{standard_traces, TraceStream};
+/// use xbc_workload::{standard_traces, InstSource, TraceStream};
 ///
 /// let trace = standard_traces()[0].capture(500);
 /// let mut buf = Vec::new();
@@ -85,10 +85,13 @@ pub trait InstSource {
 /// let mut stream = TraceStream::new(buf.as_slice()).unwrap();
 /// assert_eq!(stream.name(), trace.name());
 /// assert_eq!(stream.inst_count(), 500);
+/// while stream.next_inst().is_some() {}
+/// stream.finish().expect("intact trace");
 /// ```
 pub struct TraceStream<R: Read> {
     reader: TraceReader<R>,
-    yielded: u64,
+    /// The error that ended the stream, held for [`TraceStream::finish`].
+    error: Option<TraceError>,
 }
 
 impl<R: Read> TraceStream<R> {
@@ -99,7 +102,7 @@ impl<R: Read> TraceStream<R> {
     /// Returns [`TraceError`] on a bad magic, malformed header or
     /// format-version mismatch.
     pub fn new(input: R) -> Result<Self, TraceError> {
-        Ok(TraceStream { reader: TraceReader::new(input)?, yielded: 0 })
+        Ok(TraceStream { reader: TraceReader::new(input)?, error: None })
     }
 
     /// Trace name from the header.
@@ -117,33 +120,44 @@ impl<R: Read> TraceStream<R> {
         self.reader.exec_stats()
     }
 
-    /// Fails the replay loudly: `yielded` instructions were delivered
-    /// before the stream turned out corrupt.
-    fn corrupt(&self, yielded: u64, e: TraceError) -> ! {
-        panic!("streaming replay of {:?} failed after {yielded} instructions: {e}", self.name())
+    /// The verdict on the whole stream: `Ok` if every record decoded and
+    /// the CRC trailer matched. Decodes whatever the replay left unread
+    /// first (normally nothing but the trailer).
+    ///
+    /// # Errors
+    ///
+    /// Returns the error that ended the stream early, or the one found
+    /// in its unread rest: truncation, field corruption, CRC mismatch,
+    /// trailing bytes or an I/O failure.
+    pub fn finish(mut self) -> Result<(), TraceError> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.reader.skip_rest(),
+        }
     }
 }
 
 impl<R: Read> InstSource for TraceStream<R> {
     fn next_inst(&mut self) -> Option<DynInst> {
-        match self.reader.next() {
-            None => None,
-            Some(Ok(d)) => {
-                self.yielded += 1;
-                Some(d)
+        match self.reader.next()? {
+            Ok(d) => Some(d),
+            Err(e) => {
+                self.error = Some(e);
+                None
             }
-            Some(Err(e)) => self.corrupt(self.yielded, e),
         }
     }
 
     fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
         let start = out.len();
         match self.reader.read_into(out, max) {
-            Ok(n) => {
-                self.yielded += n as u64;
-                n
+            Ok(n) => n,
+            Err(e) => {
+                // The reader is fused now: this batch's records are the
+                // stream's last, and the next call returns 0.
+                self.error = Some(e);
+                out.len() - start
             }
-            Err(e) => self.corrupt(self.yielded + (out.len() - start) as u64, e),
         }
     }
 
@@ -163,8 +177,7 @@ impl<R: Read> InstSource for TraceStream<R> {
 ///
 /// `next_inst` panics if the channel disconnects before `expected`
 /// instructions have been yielded — the producer died mid-capture, and a
-/// replay that has already consumed part of the stream cannot recover
-/// (same contract as [`TraceStream`] on mid-stream corruption).
+/// replay that has already consumed part of the stream cannot recover.
 pub struct ChannelSource {
     rx: mpsc::Receiver<Box<[DynInst]>>,
     chunk: Box<[DynInst]>,
@@ -300,16 +313,56 @@ mod tests {
         assert_eq!(s.next_inst(), None, "a drained stream stays drained");
     }
 
+    /// Every single-byte flip of a small trace either fails the header
+    /// or ends the stream early or late with an `Err` verdict — never a
+    /// panic, never an `Ok` — whether it is drained by `next_inst` or by
+    /// `fill`, and a flipped stream never yields more than the header's
+    /// count.
     #[test]
-    #[should_panic(expected = "streaming replay")]
-    fn trace_stream_panics_on_midstream_corruption() {
+    fn trace_stream_reports_every_corruption_in_its_verdict() {
+        let trace = standard_traces()[2].capture(60);
+        let mut buf = Vec::new();
+        trace.save(&mut buf).unwrap();
+        for pos in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[pos] ^= 0x41;
+            for by_fill in [false, true] {
+                let Ok(mut s) = TraceStream::new(bad.as_slice()) else { continue };
+                let count = s.inst_count();
+                let got = if by_fill {
+                    drain_by_fill(&mut s, &[7])
+                } else {
+                    std::iter::from_fn(|| s.next_inst()).collect()
+                };
+                assert!(got.len() as u64 <= count, "flip at {pos} yielded past the count");
+                assert_eq!(s.next_inst(), None, "a stream stays ended after an error");
+                assert!(s.finish().is_err(), "flip at byte {pos} passed the verdict");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_stream_verdict_covers_the_unread_rest() {
         let trace = standard_traces()[2].capture(400);
         let mut buf = Vec::new();
         trace.save(&mut buf).unwrap();
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
+        // A clean stream passes whether the replay drained it or not.
+        TraceStream::new(buf.as_slice()).unwrap().finish().unwrap();
         let mut s = TraceStream::new(buf.as_slice()).unwrap();
-        while s.next_inst().is_some() {}
+        assert_eq!(drain_by_fill(&mut s, &[400]), trace.insts());
+        s.finish().unwrap();
+        // Corruption the replay never reached still fails the verdict.
+        let last = buf.len() - 1;
+        buf[last] ^= 1;
+        let mut s = TraceStream::new(buf.as_slice()).unwrap();
+        assert!(s.next_inst().is_some());
+        assert!(s.finish().is_err());
+        // So do bytes appended after the CRC trailer.
+        buf[last] ^= 1;
+        buf.push(0);
+        let mut s = TraceStream::new(buf.as_slice()).unwrap();
+        assert_eq!(drain_by_fill(&mut s, &[64]), trace.insts());
+        assert!(s.finish().is_err(), "trailing byte passed the verdict");
     }
 
     #[test]
@@ -378,19 +431,6 @@ mod tests {
         got.push(s.next_inst().unwrap());
         got.extend(drain_by_fill(&mut s, &[5]));
         assert_eq!(got, trace.insts());
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming replay")]
-    fn trace_stream_fill_panics_on_midstream_corruption() {
-        let trace = standard_traces()[2].capture(400);
-        let mut buf = Vec::new();
-        trace.save(&mut buf).unwrap();
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
-        let mut s = TraceStream::new(buf.as_slice()).unwrap();
-        let mut sink = Vec::new();
-        while s.fill(&mut sink, 64) > 0 {}
     }
 
     #[test]

@@ -61,5 +61,8 @@ fn streamed_capture_is_byte_identical_for_every_standard_trace() {
             n += 1;
         }
         assert_eq!(n, INSTS as u64, "{}: decoded instruction count", spec.name);
+        reader
+            .finish()
+            .unwrap_or_else(|e| panic!("{}: streamed capture fails to verify: {e}", spec.name));
     }
 }

@@ -163,6 +163,7 @@ fn streamed_replay_is_bit_identical_to_resident() {
             let mut stream = TraceStream::new(encoded.as_slice()).unwrap();
             let mut str_sink = VecSink::new();
             let m_str = str_fe.run_streamed_traced(&mut stream, &mut str_sink);
+            stream.finish().expect("encoded trace verifies");
             assert_eq!(
                 m_res,
                 m_str,
@@ -210,6 +211,7 @@ fn checked_streamed_replay_matches_too() {
         let mut stream = TraceStream::new(encoded.as_slice()).unwrap();
         let checked =
             xbc_sim::run_checked_streamed(&mut **str_fe, &mut stream, spec.name, &mut NullSink);
+        stream.finish().expect("encoded trace verifies");
         assert_eq!(resident, checked, "{} checked-streamed differs", res_fe.name());
     }
 }

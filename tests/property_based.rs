@@ -7,8 +7,10 @@
 //! the assertion message).
 
 use xbc::{BankMask, XbPtr, XbcArray, XbcConfig};
+use xbc_frontend::{BbtcConfig, TcConfig, UopCacheConfig};
 use xbc_isa::{decode, Addr, BranchKind, Inst, Uop};
-use xbc_uarch::Histogram;
+use xbc_predict::BtbConfig;
+use xbc_uarch::{Histogram, ICacheConfig, SetIndex};
 use xbc_workload::{ProgramGenerator, Rng64, Trace, WorkloadProfile};
 
 /// A plausible uop sequence for one XB (1..=16 uops), ending on a
@@ -195,4 +197,61 @@ fn overlapping_installs_bounded_duplication() {
     let last = built.last().unwrap();
     let (last_ptr, _) = install(last, &mut a, BankMask::EMPTY);
     assert!(a.lookup(&last_ptr).is_some());
+}
+
+/// Every set count a frontend configuration in the sweeps can produce:
+/// the XBC and TC from 2K to 96K uops at 1–8 ways, the uop cache and
+/// BBTC over the same sizes, and the BTB, IC and XBTB defaults.
+fn configured_set_counts() -> Vec<usize> {
+    let btb = BtbConfig::default();
+    let mut sets = vec![
+        btb.entries / btb.ways,
+        ICacheConfig::default().sets(),
+        XbcConfig::default().xbtb_entries / 4,
+    ];
+    for total_uops in (2..=96).map(|k| k * 1024) {
+        for ways in [1, 2, 4, 8] {
+            let xbc = XbcConfig { total_uops, ways, ..XbcConfig::default() };
+            if total_uops.is_multiple_of(xbc.banks * ways * xbc.line_uops) {
+                sets.push(xbc.sets());
+            }
+            let tc = TcConfig { total_uops, ways, ..TcConfig::default() };
+            if (total_uops / tc.line_uops).is_multiple_of(ways) {
+                sets.push(tc.sets());
+            }
+        }
+        let uc = UopCacheConfig { total_uops, ..UopCacheConfig::default() };
+        sets.push(uc.entries() / uc.ways);
+        let bbtc = BbtcConfig { total_uops, ..BbtcConfig::default() };
+        sets.push(bbtc.block_sets());
+        sets.push(bbtc.trace_sets());
+    }
+    sets
+}
+
+/// The division-free set split equals `%` and `/` for every divisor in
+/// 1..=4096 and every configured set count, on the edge keys (0, 1,
+/// `u64::MAX`, multiples of the divisor and their neighbours) and on
+/// seeded random keys.
+#[test]
+fn set_index_split_is_exact() {
+    let mut divisors: Vec<u64> = (1..=4096).collect();
+    divisors.extend(configured_set_counts().into_iter().map(|d| d as u64));
+    divisors.sort_unstable();
+    divisors.dedup();
+    assert!(*divisors.last().unwrap() > 4096, "the grids reach past 4096 sets");
+    let mut rng = Rng64::seed_from_u64(0x5E7_1DE5);
+    for &d in &divisors {
+        let ix = SetIndex::new(d as usize);
+        let mut keys = vec![0, 1, 2, u64::MAX, u64::MAX - 1, d - 1, d, d + 1];
+        for _ in 0..8 {
+            let m = rng.uniform(u64::MAX / d) * d;
+            keys.extend([m, m.wrapping_sub(1), m.saturating_add(1)]);
+        }
+        keys.extend((0..8).map(|_| rng.next_u64()));
+        keys.extend((0..8).map(|_| rng.next_u64() >> 32));
+        for key in keys {
+            assert_eq!(ix.split(key), ((key % d) as usize, key / d), "key {key} over {d} sets");
+        }
+    }
 }

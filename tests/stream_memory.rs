@@ -102,8 +102,10 @@ fn streamed_peak(encoded: &[u8]) -> u64 {
     PEAK.store(baseline, Ordering::Relaxed);
     let mut stream = TraceStream::new(encoded).unwrap();
     let m = fe.run_streamed(&mut stream);
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
+    stream.finish().expect("encoded trace verifies");
     assert!(m.total_uops() > 0);
-    PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
+    peak
 }
 
 #[test]
