@@ -200,8 +200,8 @@ impl XbcArray {
     pub fn new(cfg: &XbcConfig) -> Self {
         let sets = cfg.sets();
         assert!(cfg.banks <= MAX_BANKS, "at most {MAX_BANKS} banks (BankMask is 8 bits)");
+        // `sets()` checked the lane count against the 64-bit lane masks.
         let lanes = cfg.banks * cfg.ways;
-        assert!(lanes <= 64, "at most 64 lines per set (lane masks are 64 bits)");
         let total = sets * lanes;
         let filler = Uop::new(
             xbc_isa::UopId::new(Addr::new(0), 0),

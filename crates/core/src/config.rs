@@ -132,24 +132,51 @@ impl XbcConfig {
     ///
     /// Panics with a descriptive message on any inconsistency.
     pub fn validate(&self) {
-        assert!(self.banks >= 1 && self.banks <= 8, "banks must be in 1..=8");
-        assert!(self.ways >= 1, "need at least one way per bank");
-        assert!(self.line_uops >= 1, "lines must hold at least one uop");
-        assert!(
-            self.max_xb_uops <= self.banks * self.line_uops,
-            "an XB (max {} uops) must fit across the banks ({} × {})",
-            self.max_xb_uops,
-            self.banks,
-            self.line_uops
-        );
-        let set_uops = self.banks * self.ways * self.line_uops;
-        assert!(
-            self.total_uops >= set_uops && self.total_uops.is_multiple_of(set_uops),
-            "total_uops ({}) must be a positive multiple of uops per set ({set_uops})",
-            self.total_uops
-        );
-        assert!(self.xbtb_entries.is_power_of_two(), "XBTB entries must be a power of two");
-        assert!(self.xbs_per_cycle >= 1, "must fetch at least one XB per cycle");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Checks the configuration [`XbcConfig::validate`] asserts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive message on the first inconsistency.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=8).contains(&self.banks) {
+            return Err("banks must be in 1..=8".into());
+        }
+        if self.ways == 0 {
+            return Err("need at least one way per bank".into());
+        }
+        // Lane masks are 64 bits wide.
+        if self.ways > 64 / self.banks {
+            return Err(format!(
+                "at most 64 lines per set (lane masks are 64 bits); {} banks × {} ways",
+                self.banks, self.ways
+            ));
+        }
+        if self.line_uops == 0 {
+            return Err("lines must hold at least one uop".into());
+        }
+        if self.max_xb_uops > self.banks.saturating_mul(self.line_uops) {
+            return Err(format!(
+                "an XB (max {} uops) must fit across the banks ({} × {})",
+                self.max_xb_uops, self.banks, self.line_uops
+            ));
+        }
+        let set_uops = (self.banks * self.ways).saturating_mul(self.line_uops);
+        if self.total_uops < set_uops || !self.total_uops.is_multiple_of(set_uops) {
+            return Err(format!(
+                "total_uops ({}) must be a positive multiple of uops per set ({set_uops})",
+                self.total_uops
+            ));
+        }
+        if !self.xbtb_entries.is_power_of_two() {
+            return Err("XBTB entries must be a power of two".into());
+        }
+        if self.xbs_per_cycle == 0 {
+            return Err("must fetch at least one XB per cycle".into());
+        }
+        Ok(())
     }
 
     /// Maximum lines an XB can span.

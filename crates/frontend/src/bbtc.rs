@@ -81,13 +81,8 @@ impl BbtcConfig {
     ///
     /// Panics on inconsistent geometry.
     pub fn block_sets(&self) -> usize {
-        assert!(self.block_uops > 0 && self.block_ways > 0);
-        let entries = self.total_uops / self.block_uops;
-        assert!(
-            entries > 0 && entries.is_multiple_of(self.block_ways),
-            "block-cache capacity must divide into ways"
-        );
-        entries / self.block_ways
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+        self.total_uops / self.block_uops / self.block_ways
     }
 
     /// Trace-table sets implied by the geometry.
@@ -96,8 +91,31 @@ impl BbtcConfig {
     ///
     /// Panics on inconsistent geometry.
     pub fn trace_sets(&self) -> usize {
-        assert!(self.trace_ways > 0 && self.trace_entries.is_multiple_of(self.trace_ways));
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         self.trace_entries / self.trace_ways
+    }
+
+    /// Checks the geometry [`BbtcConfig::block_sets`] and
+    /// [`BbtcConfig::trace_sets`] assert.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the inconsistency.
+    pub fn check(&self) -> Result<(), String> {
+        let entries = self.total_uops.checked_div(self.block_uops).unwrap_or(0);
+        if entries == 0 || self.block_ways == 0 || !entries.is_multiple_of(self.block_ways) {
+            return Err(format!(
+                "block-cache capacity ({} uops in {}-uop blocks) must divide into {} ways",
+                self.total_uops, self.block_uops, self.block_ways
+            ));
+        }
+        if self.trace_ways == 0 || !self.trace_entries.is_multiple_of(self.trace_ways) {
+            return Err(format!(
+                "trace table ({} entries) must divide into {} ways",
+                self.trace_entries, self.trace_ways
+            ));
+        }
+        Ok(())
     }
 }
 

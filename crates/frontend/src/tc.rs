@@ -84,13 +84,27 @@ impl TcConfig {
     ///
     /// Panics if the capacity does not divide evenly.
     pub fn sets(&self) -> usize {
-        assert!(self.line_uops > 0 && self.ways > 0);
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+        self.total_uops / self.line_uops / self.ways
+    }
+
+    /// Checks the geometry [`TcConfig::sets`] asserts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the inconsistency.
+    pub fn check(&self) -> Result<(), String> {
+        if self.line_uops == 0 || self.ways == 0 {
+            return Err("TC lines and ways must be non-zero".into());
+        }
         let lines = self.total_uops / self.line_uops;
-        assert!(
-            lines.is_multiple_of(self.ways) && lines > 0,
-            "total_uops must divide into ways × line_uops"
-        );
-        lines / self.ways
+        if lines == 0 || !lines.is_multiple_of(self.ways) {
+            return Err(format!(
+                "TC total_uops ({}) must divide into ways ({}) × line_uops ({})",
+                self.total_uops, self.ways, self.line_uops
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -59,9 +59,24 @@ impl UopCacheConfig {
     ///
     /// Panics if the capacity does not divide evenly.
     pub fn entries(&self) -> usize {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+        self.total_uops / Inst::MAX_UOPS as usize
+    }
+
+    /// Checks the geometry [`UopCacheConfig::entries`] asserts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the inconsistency.
+    pub fn check(&self) -> Result<(), String> {
         let entries = self.total_uops / Inst::MAX_UOPS as usize;
-        assert!(entries > 0 && entries.is_multiple_of(self.ways), "capacity must divide into ways");
-        entries
+        if entries == 0 || self.ways == 0 || !entries.is_multiple_of(self.ways) {
+            return Err(format!(
+                "uop cache capacity ({} uops = {entries} entries) must divide into {} ways",
+                self.total_uops, self.ways
+            ));
+        }
+        Ok(())
     }
 }
 

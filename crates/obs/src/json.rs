@@ -8,15 +8,26 @@
 //! keeps the build hermetic. (`xbc-sim` re-exports this module as
 //! `xbc_sim::json`, its home before `xbc-obs` existed.)
 //!
-//! Parsing is linear in the input: string bodies are copied a run of
-//! plain bytes at a time, never re-validated as UTF-8.
+//! There is one grammar with two consumers. [`Reader`] is a borrowing
+//! pull tokenizer; [`Json::parse`] builds the owned [`Json`] tree from
+//! its tokens, and typed decoders (`xbc_sim::Row::read_json`) read the
+//! tokens directly, with no tree and no `String` per key or number, so
+//! both accept exactly the same documents. The appending writers
+//! ([`escape_into`], [`push_u64`]) let encoders build a document in one
+//! caller-owned `String`.
+//!
+//! Reading is linear in the input: string bodies are taken a run of
+//! plain bytes at a time, never re-validated as UTF-8, and borrowed
+//! from the input unless they hold escapes.
 //!
 //! Numbers are kept as their source text ([`Json::Num`] holds the
 //! literal): `u64` counters round-trip without passing through `f64`,
 //! and `f64` fields are written with Rust's shortest-roundtrip `{}`
 //! formatting, so parse(write(x)) == x exactly.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,13 +53,10 @@ impl Json {
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(s, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
+        let mut r = Reader::new(s);
+        let head = r.value()?;
+        let v = r.tree(head)?;
+        r.end()?;
         Ok(v)
     }
 
@@ -112,172 +120,403 @@ impl Json {
 /// Escapes `s` as the *contents* of a JSON string (no surrounding quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+/// Appends `s`, escaped as the contents of a JSON string, to `out`.
+///
+/// Only `"`, `\` and control characters are escaped; a run of other
+/// bytes is copied in one step.
+pub fn escape_into(out: &mut String, s: &str) {
     let b = s.as_bytes();
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(s, pos),
-        Some(b'[') => parse_arr(s, pos),
-        Some(b'"') => parse_string(s, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-    // Validate by parsing as f64 — accepts everything we emit.
-    text.parse::<f64>().map_err(|_| format!("bad number {text:?} at byte {start}"))?;
-    Ok(Json::Num(text.to_owned()))
-}
-
-fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
-    let b = s.as_bytes();
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        // Copy the run up to the next delimiter in one step. Both
-        // delimiters are ASCII, so the run starts and ends on char
-        // boundaries of the (already valid) input: slicing it needs no
-        // UTF-8 re-validation, and parsing stays linear in the input.
-        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
-        let end = run.map_or(b.len(), |n| *pos + n);
-        out.push_str(&s[*pos..end]);
-        *pos = end;
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            _ => {
-                // A backslash escape.
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogates are not paired here; the writer never
-                        // emits them (it escapes only control characters).
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
+    let mut run = 0;
+    for (i, &c) in b.iter().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
+        }
+        // `c` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match c {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
         }
     }
+    out.push_str(&s[run..]);
 }
 
-fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
-    let b = s.as_bytes();
-    *pos += 1; // '{'
-    let mut pairs = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(pairs));
-    }
+/// Appends the decimal digits of `v` to `out` (what `{v}` would print).
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
     loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        let key = parse_string(s, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// The head of one JSON value, as [`Reader::value`] returns it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's literal text, already checked to parse as an `f64`.
+    Num(&'a str),
+    /// A string, borrowed from the input unless it holds escapes.
+    Str(Cow<'a, str>),
+    /// An opened object (`{`): read its members with [`Reader::next_key`].
+    Obj,
+    /// An opened array (`[`): read its items with [`Reader::next_item`].
+    Arr,
+}
+
+/// A pull tokenizer over one JSON document, borrowing from it.
+///
+/// This is the only JSON grammar in the workspace: [`Json::parse`]
+/// builds its tree from these tokens, and typed decoders (result rows)
+/// read the tokens directly, so both accept exactly the same documents.
+/// A consumer walks the document itself: [`Reader::value`] yields the
+/// head of the next value; for an object it then alternates
+/// [`Reader::next_key`] and one value per member, for an array
+/// [`Reader::next_item`] and one value per item; [`Reader::end`] checks
+/// that nothing follows the document.
+pub struct Reader<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `s`.
+    pub fn new(s: &'a str) -> Reader<'a> {
+        Reader { s, pos: 0 }
+    }
+
+    fn skip_ws(&mut self) {
+        let b = self.s.as_bytes();
+        while self.pos < b.len() && matches!(b[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
         }
-        *pos += 1;
-        let value = parse_value(s, pos)?;
-        pairs.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
+    }
+
+    /// Reads the head of the next value: a whole scalar, or the opening
+    /// bracket of an object or array.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn value(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::Obj)
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::Arr)
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(Token::Num),
+            Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = self.pos)),
+        }
+    }
+
+    /// Reads the next member key of the object most recently opened,
+    /// with its `:`; `None` once the object closes. `first` is true for
+    /// the first call after [`Token::Obj`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.peek() {
             Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
+                self.pos += 1;
+                return Ok(None);
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if !first => {
+                return Err(format!("expected ',' or '}}' at byte {pos}", pos = self.pos));
+            }
+            _ => {}
         }
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected object key at byte {pos}", pos = self.pos));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {pos}", pos = self.pos));
+        }
+        self.pos += 1;
+        Ok(Some(key))
     }
-}
 
-fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
-    let b = s.as_bytes();
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(s, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
+    /// Whether another item follows in the array most recently opened
+    /// (consuming its `,`, or the closing `]`). `first` is true for the
+    /// first call after [`Token::Arr`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn next_item(&mut self, first: bool) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
             Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+                self.pos += 1;
+                Ok(false)
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(format!("expected ',' or ']' at byte {pos}", pos = self.pos)),
         }
+    }
+
+    /// Reads the rest of a value whose head was `head`, checking it as
+    /// strictly as [`Json::parse`] would, and discards it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn skip(&mut self, head: Token<'a>) -> Result<(), String> {
+        match head {
+            Token::Obj => {
+                let mut first = true;
+                while self.next_key(first)?.is_some() {
+                    first = false;
+                    self.skip_value()?;
+                }
+            }
+            Token::Arr => {
+                let mut first = true;
+                while self.next_item(first)? {
+                    first = false;
+                    self.skip_value()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Reads and discards the next value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        let head = self.value()?;
+        self.skip(head)
+    }
+
+    /// Reads the next value: `Some` if it is a string, else `None` with
+    /// the value skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn str_value(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.value()? {
+            Token::Str(s) => Ok(Some(s)),
+            head => self.skip(head).map(|()| None),
+        }
+    }
+
+    /// Reads the next value: `Some` if it is a boolean, else `None`
+    /// with the value skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn bool_value(&mut self) -> Result<Option<bool>, String> {
+        match self.value()? {
+            Token::Bool(b) => Ok(Some(b)),
+            head => self.skip(head).map(|()| None),
+        }
+    }
+
+    /// Reads the next value: `Some` if it is a number whose literal
+    /// parses as a `T` (as [`Json::as_u64`] and friends parse it), else
+    /// `None` with the value skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on malformed input.
+    pub fn num_value<T: FromStr>(&mut self) -> Result<Option<T>, String> {
+        match self.value()? {
+            Token::Num(n) => Ok(n.parse().ok()),
+            head => self.skip(head).map(|()| None),
+        }
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a position-annotated message on trailing data.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.s.len() {
+            return Err(format!("trailing data at byte {pos}", pos = self.pos));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str, v: Token<'a>) -> Result<Token<'a>, String> {
+        if self.s.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {pos}", pos = self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        let b = &self.s.as_bytes()[start..];
+        let sign = usize::from(b.first() == Some(&b'-'));
+        // Scan the number's bytes, noting whether all are digits: an
+        // optionally signed run of digits always parses as an f64, so
+        // only other literals pay the validating float parse below.
+        let mut plain = true;
+        let len = sign
+            + b[sign..]
+                .iter()
+                .position(|&c| {
+                    if c.is_ascii_digit() {
+                        return false;
+                    }
+                    let part = matches!(c, b'.' | b'e' | b'E' | b'+' | b'-');
+                    plain &= !part;
+                    !part
+                })
+                .unwrap_or(b.len() - sign);
+        plain &= len > sign;
+        self.pos += len;
+        // The scanned bytes are ASCII, so both ends are char boundaries.
+        let text = &self.s[start..self.pos];
+        // Validate by parsing as f64 — accepts everything we emit.
+        if !plain {
+            text.parse::<f64>().map_err(|_| format!("bad number {text:?} at byte {start}"))?;
+        }
+        Ok(text)
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let s = self.s;
+        let b = s.as_bytes();
+        debug_assert_eq!(b[self.pos], b'"');
+        self.pos += 1;
+        let mut out: Option<String> = None;
+        loop {
+            // Take the run up to the next delimiter in one step. Both
+            // delimiters are ASCII, so the run starts and ends on char
+            // boundaries of the (already valid) input: slicing it needs
+            // no UTF-8 re-validation, and reading stays linear in the
+            // input. A string without escapes is borrowed whole.
+            let run = b[self.pos..].iter().position(|&c| c == b'"' || c == b'\\');
+            let end = run.map_or(b.len(), |n| self.pos + n);
+            let text = &s[self.pos..end];
+            self.pos = end;
+            match b.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match out {
+                        None => Cow::Borrowed(text),
+                        Some(mut o) => {
+                            o.push_str(text);
+                            Cow::Owned(o)
+                        }
+                    });
+                }
+                _ => {
+                    // A backslash escape.
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(text);
+                    self.pos += 1;
+                    match b.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex =
+                                b.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            // Surrogates are not paired here; the writer
+                            // never emits them (it escapes only control
+                            // characters).
+                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {pos}", pos = self.pos)),
+                    }
+                    self.pos += 1;
+                }
+            }
+        }
+    }
+
+    /// Builds the owned tree of a value whose head was `head`.
+    fn tree(&mut self, head: Token<'a>) -> Result<Json, String> {
+        Ok(match head {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(n) => Json::Num(n.to_owned()),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Obj => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key(pairs.is_empty())? {
+                    let head = self.value()?;
+                    pairs.push((key.into_owned(), self.tree(head)?));
+                }
+                Json::Obj(pairs)
+            }
+            Token::Arr => {
+                let mut items = Vec::new();
+                while self.next_item(items.is_empty())? {
+                    let head = self.value()?;
+                    items.push(self.tree(head)?);
+                }
+                Json::Arr(items)
+            }
+        })
     }
 }
 

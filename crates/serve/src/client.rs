@@ -55,13 +55,24 @@ fn send_line(out: &mut Conn, line: &str) -> Result<(), String> {
     writeln!(out, "{line}").and_then(|()| out.flush()).map_err(|e| format!("send request: {e}"))
 }
 
-fn read_response_line(reader: &mut BufReader<Conn>) -> Result<Json, String> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| format!("read response: {e}"))?;
+/// Reads one response line into `line` (cleared first).
+fn read_line(reader: &mut BufReader<Conn>, line: &mut String) -> Result<(), String> {
+    line.clear();
+    let n = reader.read_line(line).map_err(|e| format!("read response: {e}"))?;
     if n == 0 {
         return Err("server closed the connection mid-response".into());
     }
+    Ok(())
+}
+
+fn parse_response(line: &str) -> Result<Json, String> {
     Json::parse(line.trim()).map_err(|e| format!("malformed response line: {e}"))
+}
+
+fn read_response_line(reader: &mut BufReader<Conn>) -> Result<Json, String> {
+    let mut line = String::new();
+    read_line(reader, &mut line)?;
+    parse_response(&line)
 }
 
 /// Liveness probe: sends `ping`, expects `pong`.
@@ -98,7 +109,8 @@ pub fn shutdown(endpoint: &Endpoint) -> Result<u64, String> {
 
 /// Submits a sweep grid and collects the full response: rows stream in
 /// index order (the protocol guarantees it; this client enforces it)
-/// followed by the `done` trailer.
+/// followed by the `done` trailer. Row lines are decoded without a JSON
+/// tree ([`protocol::parse_row_line`]); the other lines build one.
 ///
 /// # Errors
 ///
@@ -108,21 +120,23 @@ pub fn submit(endpoint: &Endpoint, req: &SweepRequest) -> Result<SubmitOutcome, 
     let (mut reader, mut out) = connect(endpoint)?;
     send_line(&mut out, &protocol::render_sweep_request(req))?;
     let mut rows: Vec<Row> = Vec::new();
+    let mut line = String::new();
     loop {
-        let j = read_response_line(&mut reader)?;
-        match j.get("type").and_then(Json::as_str) {
-            Some("row") => {
-                let index =
-                    j.get("index").and_then(Json::as_usize).ok_or("row line missing index")?;
-                if index != rows.len() {
-                    return Err(format!(
-                        "rows out of order: got index {index}, expected {}",
-                        rows.len()
-                    ));
-                }
-                let row = Row::from_json(j.get("row").ok_or("row line missing row")?)?;
-                rows.push(row);
+        read_line(&mut reader, &mut line)?;
+        let row_line = protocol::parse_row_line(line.trim())
+            .map_err(|e| format!("malformed response line: {e}"))?;
+        if let Some((index, row)) = row_line {
+            if index != rows.len() {
+                return Err(format!(
+                    "rows out of order: got index {index}, expected {}",
+                    rows.len()
+                ));
             }
+            rows.push(row);
+            continue;
+        }
+        let j = parse_response(&line)?;
+        match j.get("type").and_then(Json::as_str) {
             Some("done") => {
                 let declared =
                     j.get("rows").and_then(Json::as_usize).ok_or("done line missing rows")?;

@@ -76,6 +76,11 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// so no client can make the daemon buffer without bound.
 const MAX_REQUEST_LINE: usize = 1 << 20;
 
+/// Buffered response bytes past which [`stream_rows`] writes without
+/// waiting for more ready rows: about 40 rows, so the client starts
+/// decoding while the daemon is still encoding.
+const BATCH_BYTES: usize = 16 * 1024;
+
 /// Daemon configuration for [`serve`] / [`Server::bind`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -477,13 +482,29 @@ fn worker(shared: &Shared) {
 
 /// Writes one line and flushes.
 fn send_line(out: &mut Conn, line: &str) -> std::io::Result<()> {
-    writeln!(out, "{line}")?;
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    send(out, &mut buf)
+}
+
+/// Writes the buffered lines in one call, flushes, and empties the
+/// buffer.
+fn send(out: &mut Conn, buf: &mut String) -> std::io::Result<()> {
+    out.write_all(buf.as_bytes())?;
+    buf.clear();
     out.flush()
 }
 
 /// Streams the job's rows in index order. `Ok(true)` means all rows and
 /// the `done` trailer went out; `Ok(false)` means the job failed and an
 /// `error` line was sent instead (connection stays usable).
+///
+/// Ready rows are encoded into one buffer and written together: the
+/// buffer goes out before the thread waits for the next cell, once it
+/// passes [`BATCH_BYTES`], and with the trailer. A warm grid is a few
+/// writes instead of one per row, and a cold row still leaves as soon
+/// as its cell finishes.
 fn stream_rows(
     shared: &Shared,
     job: &Arc<Job>,
@@ -497,6 +518,7 @@ fn stream_rows(
         Failed(String),
     }
     let n_cells = job.traces.len() * job.frontends.len();
+    let mut pending = String::new();
     for idx in 0..n_cells {
         let got = {
             let mut slots = job.rows.lock().expect("job rows lock");
@@ -510,34 +532,53 @@ fn stream_rows(
                 if let Some(why) = job.failed.lock().expect("job failed lock").clone() {
                     break Got::Failed(why);
                 }
+                if !pending.is_empty() {
+                    // Send what is ready before waiting, without
+                    // holding the lock the workers deliver through.
+                    drop(slots);
+                    send(out, &mut pending)?;
+                    slots = job.rows.lock().expect("job rows lock");
+                    continue;
+                }
                 slots = job.row_cv.wait(slots).expect("job row cv");
             }
         };
         let row = match got {
             Got::Row(row) => row,
             Got::Failed(why) => {
-                send_line(out, &protocol::error_line(&why))?;
+                pending.push_str(&protocol::error_line(&why));
+                pending.push('\n');
+                send(out, &mut pending)?;
                 return Ok(false);
             }
         };
         #[cfg(feature = "check")]
         if let Some(faults) = &shared.faults {
+            // Each fault acts at its row: the rows before it go out
+            // first.
             match faults.next_row_fault() {
                 RowFault::None => {}
-                RowFault::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
+                RowFault::Delay(ms) => {
+                    send(out, &mut pending)?;
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
                 RowFault::Drop => {
+                    send(out, &mut pending)?;
                     return Err(std::io::Error::other("injected connection drop"));
                 }
                 RowFault::Truncate => {
-                    let line = protocol::row_line(idx, &row);
-                    let bytes = line.as_bytes();
-                    out.write_all(&bytes[..bytes.len() / 2])?;
+                    send(out, &mut pending)?;
+                    protocol::push_row_line(&mut pending, idx, &row);
+                    out.write_all(&pending.as_bytes()[..pending.len() / 2])?;
                     out.flush()?;
                     return Err(std::io::Error::other("injected connection truncate"));
                 }
             }
         }
-        send_line(out, &protocol::row_line(idx, &row))?;
+        protocol::push_row_line(&mut pending, idx, &row);
+        if pending.len() >= BATCH_BYTES {
+            send(out, &mut pending)?;
+        }
     }
 
     let deduped = job.deduped_cells.load(Ordering::Relaxed) as usize;
@@ -569,7 +610,9 @@ fn stream_rows(
         )
     });
     let sched = shared.sched.stats();
-    send_line(out, &protocol::done_line(n_cells, &bench, delta.as_ref(), Some(&sched)))?;
+    pending.push_str(&protocol::done_line(n_cells, &bench, delta.as_ref(), Some(&sched)));
+    pending.push('\n');
+    send(out, &mut pending)?;
     if shared.progress {
         eprintln!(
             "[xbc-serve] client {}: {} cells ({} cached, {} simulated, {} deduped, {} streamed, \

@@ -23,16 +23,21 @@
 //! Errors come back as `{"type":"error","message":"..."}` and leave the
 //! connection usable for the next request.
 //!
-//! The compact row serializer here writes the *same values, in the same
-//! field order, with the same `f64` shortest-roundtrip formatting* as
-//! `xbc_sim::Row::to_json` — only the whitespace differs. A client that
-//! parses wire rows and re-encodes them with `xbc_sim::to_json` gets
-//! output byte-identical to a one-shot `xbcsim sweep --json` of the
-//! same grid (given the same store), which is what the CI serve gate
-//! diffs.
+//! Wire rows are written by the one row encoder, `xbc_sim::Row::write_json`,
+//! in its single-line layout: the *same values, in the same field order,
+//! with the same `f64` shortest-roundtrip formatting* as the stored
+//! pretty form — only the whitespace differs. A client that parses wire
+//! rows and re-encodes them with `xbc_sim::to_json` gets output
+//! byte-identical to a one-shot `xbcsim sweep --json` of the same grid
+//! (given the same store), which is what the CI serve gate diffs. Row
+//! lines are read back without a JSON tree ([`parse_row_line`]).
+//!
+//! Every frontend spec in a sweep request is checked
+//! (`FrontendSpec::check`) when the line is parsed, so a geometry the
+//! simulator cannot build is an `error` reply, never a worker panic.
 
 use crate::scheduler::{ClientCells, SchedStats};
-use xbc_sim::json::{escape, Json};
+use xbc_sim::json::{escape, push_u64, Json, Reader, Token};
 use xbc_sim::{FrontendSpec, Row, SweepBench, WorkerStat};
 use xbc_store::StoreStats;
 
@@ -128,8 +133,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Json::as_arr)
                 .ok_or("sweep request missing frontends")?
                 .iter()
-                .map(FrontendSpec::from_json)
-                .collect::<Result<Vec<_>, _>>()?;
+                .map(|j| {
+                    let spec = FrontendSpec::from_json(j)?;
+                    spec.check().map_err(|e| format!("bad frontend {}: {e}", spec.label()))?;
+                    Ok(spec)
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             let insts =
                 j.get("insts").and_then(Json::as_usize).ok_or("sweep request missing insts")?;
             let priority = match j.get("priority") {
@@ -146,36 +155,53 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Serializes a row as a single-line JSON object: same fields, same
-/// order, same value formatting as `Row::to_json` — whitespace only
-/// differs, so parse → `Row` → re-encode is exact either way.
-pub fn row_to_compact_json(r: &Row) -> String {
-    format!(
-        "{{\"trace\":\"{}\",\"suite\":\"{}\",\"frontend\":{},\"insts\":{},\"uops\":{},\
-         \"cycles\":{},\"miss_rate\":{},\"bandwidth\":{},\"uops_per_cycle\":{},\
-         \"cond_mispredicts\":{},\"target_mispredicts\":{},\"delivery_to_build\":{},\
-         \"bank_conflict_uops\":{},\"promotions\":{},\"elapsed_ms\":{}}}",
-        escape(&r.trace),
-        escape(&r.suite),
-        r.frontend.to_json(),
-        r.insts,
-        r.uops,
-        r.cycles,
-        r.miss_rate,
-        r.bandwidth,
-        r.uops_per_cycle,
-        r.cond_mispredicts,
-        r.target_mispredicts,
-        r.delivery_to_build,
-        r.bank_conflict_uops,
-        r.promotions,
-        r.elapsed_ms,
-    )
+/// Appends one `row` line of a sweep response, newline included, to
+/// `out`.
+pub fn push_row_line(out: &mut String, index: usize, row: &Row) {
+    out.push_str("{\"type\":\"row\",\"index\":");
+    push_u64(out, index as u64);
+    out.push_str(",\"row\":");
+    row.write_json(out, None);
+    out.push_str("}\n");
 }
 
-/// One `row` line of a sweep response.
-pub fn row_line(index: usize, row: &Row) -> String {
-    format!("{{\"type\":\"row\",\"index\":{index},\"row\":{}}}", row_to_compact_json(row))
+/// Reads a response line if it is a `row` line, straight from the
+/// tokens: `Ok(Some((index, row)))` for a row line, `Ok(None)` for any
+/// other well-formed line (read those with `Json::parse`). Accepts
+/// exactly what the tree path accepts — the first `type` member is
+/// `"row"`, the first `index` a `usize`, the first `row` a row per
+/// `Row::from_json` — in any member order.
+///
+/// # Errors
+///
+/// Returns a message for a malformed line, or for a row line whose
+/// `index` or `row` is missing or bad.
+pub fn parse_row_line(line: &str) -> Result<Option<(usize, Row)>, String> {
+    let mut r = Reader::new(line);
+    let head = r.value()?;
+    if head != Token::Obj {
+        r.skip(head)?;
+        r.end()?;
+        return Ok(None);
+    }
+    let (mut ty, mut index, mut row) = (None, None, None);
+    let mut first = true;
+    while let Some(k) = r.next_key(first)? {
+        first = false;
+        match &*k {
+            "type" if ty.is_none() => ty = Some(r.str_value()?),
+            "index" if index.is_none() => index = Some(r.num_value()?),
+            "row" if row.is_none() => row = Some(Row::read_json(&mut r)?),
+            _ => r.skip_value()?,
+        }
+    }
+    r.end()?;
+    if ty.flatten().as_deref() != Some("row") {
+        return Ok(None);
+    }
+    let index = index.flatten().ok_or("row line missing index")?;
+    let row = row.ok_or("row line missing row")??;
+    Ok(Some((index, row)))
 }
 
 /// Serializes a [`SweepBench`] as a single-line JSON object (the wire
@@ -446,28 +472,48 @@ mod tests {
     }
 
     #[test]
-    fn compact_row_is_exact_and_single_line() {
+    fn row_line_is_single_line_and_exact() {
         let row = sample_row();
-        let compact = row_to_compact_json(&row);
-        assert!(!compact.contains('\n'));
-        let back = Row::from_json(&Json::parse(&compact).unwrap()).unwrap();
+        let mut line = String::new();
+        push_row_line(&mut line, 3, &row);
+        let line = line.strip_suffix('\n').expect("newline-terminated");
+        assert!(!line.contains('\n'));
+        let j = Json::parse(line).unwrap();
+        assert_eq!(j.get("type").and_then(Json::as_str), Some("row"));
+        assert_eq!(j.get("index").and_then(Json::as_usize), Some(3));
+        let back = Row::from_json(j.get("row").unwrap()).unwrap();
         // The wire row re-encodes (via the sim serializer) byte-identically
         // to the original — the fixed point the CI serve gate relies on.
         assert_eq!(
             xbc_sim::to_json(std::slice::from_ref(&back)),
             xbc_sim::to_json(std::slice::from_ref(&row))
         );
-        // And the compact form itself is a fixed point too.
-        assert_eq!(row_to_compact_json(&back), compact);
+        let (index, typed) = parse_row_line(line).unwrap().expect("a row line");
+        assert_eq!(index, 3);
+        assert_eq!(xbc_sim::to_json(&[typed]), xbc_sim::to_json(&[back]));
+        // Other line types are left to the tree reader.
+        assert_eq!(parse_row_line(&pong_line()).unwrap().map(|(i, _)| i), None);
+        assert!(parse_row_line("{\"type\":\"row\",\"index\":0}").is_err());
     }
 
     #[test]
-    fn row_line_carries_index() {
-        let line = row_line(3, &sample_row());
-        let j = Json::parse(&line).unwrap();
-        assert_eq!(j.get("type").and_then(Json::as_str), Some("row"));
-        assert_eq!(j.get("index").and_then(Json::as_usize), Some(3));
-        assert!(j.get("row").is_some());
+    fn sweep_requests_with_unbuildable_geometry_are_refused() {
+        let line = |fe: &str| {
+            format!("{{\"type\":\"sweep\",\"traces\":[\"spec.gcc\"],\"frontends\":[{fe}],\"insts\":100}}")
+        };
+        for bad in [
+            "{\"kind\":\"xbc\",\"total_uops\":3,\"ways\":2,\"promotion\":true}",
+            "{\"kind\":\"xbc\",\"total_uops\":32768,\"ways\":0,\"promotion\":true}",
+            "{\"kind\":\"xbc\",\"total_uops\":32768,\"ways\":17,\"promotion\":true}",
+            "{\"kind\":\"tc\",\"total_uops\":32768,\"ways\":0}",
+            "{\"kind\":\"tc\",\"total_uops\":0,\"ways\":4}",
+            "{\"kind\":\"uop\",\"total_uops\":0}",
+            "{\"kind\":\"bbtc\",\"total_uops\":0}",
+        ] {
+            let err = parse_request(&line(bad)).expect_err(bad);
+            assert!(err.contains("bad frontend"), "{bad}: {err}");
+        }
+        assert!(parse_request(&line(&FrontendSpec::xbc_default().to_json())).is_ok());
     }
 
     #[test]

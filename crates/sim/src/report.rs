@@ -1,8 +1,30 @@
 //! Result rows and table rendering.
 
-use crate::json::{escape, Json};
+use crate::json::{escape_into, push_u64, Json, Reader, Token};
 use crate::spec::FrontendSpec;
+use std::fmt::Write as _;
 use xbc_frontend::FrontendMetrics;
+
+/// A row's members in encoding order, for both the encoder and the
+/// decoder: two names, the spec, then the numbers (`f64` at 6..9,
+/// integers elsewhere).
+const FIELDS: [&str; 15] = [
+    "trace",
+    "suite",
+    "frontend",
+    "insts",
+    "uops",
+    "cycles",
+    "miss_rate",
+    "bandwidth",
+    "uops_per_cycle",
+    "cond_mispredicts",
+    "target_mispredicts",
+    "delivery_to_build",
+    "bank_conflict_uops",
+    "promotions",
+    "elapsed_ms",
+];
 
 /// One (trace × frontend) simulation result.
 #[derive(Clone, Debug)]
@@ -75,26 +97,64 @@ impl Row {
     /// formatting, and `u64` counters stay integral — so the encoding is
     /// deterministic and `from_json` recovers the exact row.
     pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent + 2);
-        let fields = [
-            ("trace", format!("\"{}\"", escape(&self.trace))),
-            ("suite", format!("\"{}\"", escape(&self.suite))),
-            ("frontend", self.frontend.to_json()),
-            ("insts", self.insts.to_string()),
-            ("uops", self.uops.to_string()),
-            ("cycles", self.cycles.to_string()),
-            ("miss_rate", format!("{}", self.miss_rate)),
-            ("bandwidth", format!("{}", self.bandwidth)),
-            ("uops_per_cycle", format!("{}", self.uops_per_cycle)),
-            ("cond_mispredicts", self.cond_mispredicts.to_string()),
-            ("target_mispredicts", self.target_mispredicts.to_string()),
-            ("delivery_to_build", self.delivery_to_build.to_string()),
-            ("bank_conflict_uops", self.bank_conflict_uops.to_string()),
-            ("promotions", self.promotions.to_string()),
-            ("elapsed_ms", self.elapsed_ms.to_string()),
-        ];
-        let body: Vec<String> = fields.iter().map(|(k, v)| format!("{pad}\"{k}\": {v}")).collect();
-        format!("{{\n{}\n{}}}", body.join(",\n"), " ".repeat(indent))
+        let mut out = String::new();
+        self.write_json(&mut out, Some(indent));
+        out
+    }
+
+    /// Appends this row as one JSON object to `out`: with `Some(indent)`
+    /// the multi-line layout of [`Row::to_json`], with `None` the
+    /// single-line wire layout. Both carry the same fields in the same
+    /// order with the same value text; only whitespace differs.
+    pub fn write_json(&self, out: &mut String, indent: Option<usize>) {
+        // Writes the separator and the name of the next member of FIELDS.
+        let mut next = 0;
+        let mut key = |out: &mut String| {
+            if next > 0 {
+                out.push(',');
+            }
+            if let Some(n) = indent {
+                out.push('\n');
+                pad(out, n + 2);
+            }
+            out.push('"');
+            out.push_str(FIELDS[next]);
+            out.push_str(if indent.is_some() { "\": " } else { "\":" });
+            next += 1;
+        };
+        out.push('{');
+        for name in [&self.trace, &self.suite] {
+            key(out);
+            out.push('"');
+            escape_into(out, name);
+            out.push('"');
+        }
+        key(out);
+        self.frontend.write_json(out);
+        for v in [self.insts as u64, self.uops, self.cycles] {
+            key(out);
+            push_u64(out, v);
+        }
+        for v in [self.miss_rate, self.bandwidth, self.uops_per_cycle] {
+            key(out);
+            let _ = write!(out, "{v}");
+        }
+        for v in [
+            self.cond_mispredicts,
+            self.target_mispredicts,
+            self.delivery_to_build,
+            self.bank_conflict_uops,
+            self.promotions,
+            self.elapsed_ms,
+        ] {
+            key(out);
+            push_u64(out, v);
+        }
+        if let Some(n) = indent {
+            out.push('\n');
+            pad(out, n);
+        }
+        out.push('}');
     }
 
     /// Reconstructs a row from a parsed JSON object.
@@ -132,6 +192,83 @@ impl Row {
             promotions: u64_field(j, "promotions")?,
             elapsed_ms: u64_field(j, "elapsed_ms")?,
         })
+    }
+
+    /// Reads one row object from `r` without building a tree.
+    ///
+    /// Accepts exactly what [`Row::from_json`] accepts from the same
+    /// text, with the same values: members in any order, unknown members
+    /// skipped, and the first of two members with one name deciding (as
+    /// [`Json::get`] does). The outer `Err` is malformed JSON, after
+    /// which `r` is unusable; the inner `Err` is well-formed JSON that is
+    /// not a row, read to its end so the caller can go on.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed input.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Result<Row, String>, String> {
+        let head = r.value()?;
+        if head != Token::Obj {
+            r.skip(head)?;
+            return Ok(Err("row is not an object".into()));
+        }
+        // Each slot is `None` until its first member, then that
+        // member's value, `None` inside when it has the wrong type.
+        // Numbers keep their literal until the row is assembled.
+        let (mut trace, mut suite, mut frontend) = (None, None, None);
+        let mut nums: [Option<Option<&str>>; 12] = [None; 12];
+        let mut next = 0;
+        let mut first = true;
+        while let Some(k) = r.next_key(first)? {
+            first = false;
+            // Members usually come in encoding order: try the next
+            // field's name before searching.
+            let field = if FIELDS.get(next) == Some(&&*k) {
+                Some(next)
+            } else {
+                FIELDS.iter().position(|f| *f == k)
+            };
+            next = field.map_or(next, |i| i + 1);
+            match field {
+                Some(0) if trace.is_none() => trace = Some(r.str_value()?),
+                Some(1) if suite.is_none() => suite = Some(r.str_value()?),
+                Some(2) if frontend.is_none() => frontend = Some(FrontendSpec::read_json(r)?),
+                Some(i @ 3..) if nums[i - 3].is_none() => {
+                    nums[i - 3] = Some(match r.value()? {
+                        Token::Num(n) => Some(n),
+                        head => {
+                            r.skip(head)?;
+                            None
+                        }
+                    });
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |i: usize| format!("row missing {}", FIELDS[i]);
+        let num = |i: usize| nums[i - 3].flatten().ok_or_else(|| missing(i));
+        let int = |i: usize| num(i)?.parse::<u64>().map_err(|_| missing(i));
+        let float = |i: usize| num(i)?.parse::<f64>().map_err(|_| missing(i));
+        let row = || -> Result<Row, String> {
+            Ok(Row {
+                trace: trace.flatten().ok_or_else(|| missing(0))?.into_owned(),
+                suite: suite.flatten().ok_or_else(|| missing(1))?.into_owned(),
+                frontend: frontend.ok_or_else(|| missing(2))??,
+                insts: num(3)?.parse::<usize>().map_err(|_| missing(3))?,
+                uops: int(4)?,
+                cycles: int(5)?,
+                miss_rate: float(6)?,
+                bandwidth: float(7)?,
+                uops_per_cycle: float(8)?,
+                cond_mispredicts: int(9)?,
+                target_mispredicts: int(10)?,
+                delivery_to_build: int(11)?,
+                bank_conflict_uops: int(12)?,
+                promotions: int(13)?,
+                elapsed_ms: int(14)?,
+            })
+        };
+        Ok(row())
     }
 }
 
@@ -210,19 +347,40 @@ pub fn to_json(rows: &[Row]) -> String {
     if rows.is_empty() {
         return "[]".to_owned();
     }
-    let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.to_json(2))).collect();
-    format!("[\n{}\n]", body.join(",\n"))
+    let mut out = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str("  ");
+        r.write_json(&mut out, Some(2));
+    }
+    out.push_str("\n]");
+    out
 }
 
-/// Parses rows previously written by [`to_json`].
+/// Parses rows previously written by [`to_json`], reading each row
+/// straight from the tokens ([`Row::read_json`]).
 ///
 /// # Errors
 ///
 /// Returns a message describing the first malformed row or field.
 pub fn rows_from_json(s: &str) -> Result<Vec<Row>, String> {
-    let doc = Json::parse(s)?;
-    let items = doc.as_arr().ok_or("expected a JSON array of rows")?;
-    items.iter().map(Row::from_json).collect()
+    let mut r = Reader::new(s);
+    if r.value()? != Token::Arr {
+        return Err("expected a JSON array of rows".into());
+    }
+    let mut rows = Vec::new();
+    while r.next_item(rows.is_empty())? {
+        rows.push(Row::read_json(&mut r)??);
+    }
+    r.end()?;
+    Ok(rows)
+}
+
+/// Appends `n` spaces to `out`.
+fn pad(out: &mut String, n: usize) {
+    out.extend(std::iter::repeat_n(' ', n));
 }
 
 #[cfg(test)]

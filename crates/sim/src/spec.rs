@@ -1,7 +1,7 @@
 //! Frontend specifications: serializable descriptions of the frontend
 //! configurations a sweep instantiates.
 
-use crate::json::Json;
+use crate::json::{push_u64, Json, Reader, Token};
 use xbc::{PromotionMode, XbcConfig, XbcFrontend};
 use xbc_frontend::{
     BbtcConfig, BbtcFrontend, Frontend, IcFrontend, IcFrontendConfig, TcConfig, TraceCacheFrontend,
@@ -102,21 +102,37 @@ impl FrontendSpec {
 
     /// Serializes this spec as a compact JSON object.
     pub fn to_json(&self) -> String {
-        match *self {
-            FrontendSpec::Ic => "{\"kind\":\"ic\"}".to_owned(),
-            FrontendSpec::UopCache { total_uops } => {
-                format!("{{\"kind\":\"uop\",\"total_uops\":{total_uops}}}")
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`FrontendSpec::to_json`]'s text to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let (kind, total_uops, ways, promotion) = match *self {
+            FrontendSpec::Ic => ("ic", None, None, None),
+            FrontendSpec::UopCache { total_uops } => ("uop", Some(total_uops), None, None),
+            FrontendSpec::Bbtc { total_uops } => ("bbtc", Some(total_uops), None, None),
+            FrontendSpec::Tc { total_uops, ways } => ("tc", Some(total_uops), Some(ways), None),
+            FrontendSpec::Xbc { total_uops, ways, promotion } => {
+                ("xbc", Some(total_uops), Some(ways), Some(promotion))
             }
-            FrontendSpec::Bbtc { total_uops } => {
-                format!("{{\"kind\":\"bbtc\",\"total_uops\":{total_uops}}}")
-            }
-            FrontendSpec::Tc { total_uops, ways } => {
-                format!("{{\"kind\":\"tc\",\"total_uops\":{total_uops},\"ways\":{ways}}}")
-            }
-            FrontendSpec::Xbc { total_uops, ways, promotion } => format!(
-                "{{\"kind\":\"xbc\",\"total_uops\":{total_uops},\"ways\":{ways},\"promotion\":{promotion}}}"
-            ),
+        };
+        out.push_str("{\"kind\":\"");
+        out.push_str(kind);
+        out.push('"');
+        if let Some(n) = total_uops {
+            out.push_str(",\"total_uops\":");
+            push_u64(out, n as u64);
         }
+        if let Some(n) = ways {
+            out.push_str(",\"ways\":");
+            push_u64(out, n as u64);
+        }
+        if let Some(p) = promotion {
+            out.push_str(if p { ",\"promotion\":true" } else { ",\"promotion\":false" });
+        }
+        out.push('}');
     }
 
     /// Reconstructs a spec from a parsed JSON object.
@@ -125,12 +141,58 @@ impl FrontendSpec {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let kind = j.get("kind").and_then(Json::as_str).ok_or("frontend spec missing kind")?;
-        let uops = || {
-            j.get("total_uops").and_then(Json::as_usize).ok_or("frontend spec missing total_uops")
-        };
-        let ways = || j.get("ways").and_then(Json::as_usize).ok_or("frontend spec missing ways");
-        match kind {
+        FrontendSpec::from_fields(
+            j.get("kind").and_then(Json::as_str),
+            j.get("total_uops").and_then(Json::as_usize),
+            j.get("ways").and_then(Json::as_usize),
+            j.get("promotion").and_then(Json::as_bool),
+        )
+    }
+
+    /// Reads one spec object from `r` without building a tree, accepting
+    /// exactly what [`FrontendSpec::from_json`] accepts (see
+    /// `Row::read_json` for the error layering).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed input.
+    pub(crate) fn read_json(r: &mut Reader<'_>) -> Result<Result<Self, String>, String> {
+        let head = r.value()?;
+        if head != Token::Obj {
+            r.skip(head)?;
+            return Ok(Err("frontend spec missing kind".into()));
+        }
+        // First member of each name decides, as `Json::get` does.
+        let (mut kind, mut total_uops, mut ways, mut promotion) = (None, None, None, None);
+        let mut first = true;
+        while let Some(k) = r.next_key(first)? {
+            first = false;
+            match &*k {
+                "kind" if kind.is_none() => kind = Some(r.str_value()?),
+                "total_uops" if total_uops.is_none() => total_uops = Some(r.num_value()?),
+                "ways" if ways.is_none() => ways = Some(r.num_value()?),
+                "promotion" if promotion.is_none() => promotion = Some(r.bool_value()?),
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(FrontendSpec::from_fields(
+            kind.flatten().as_deref(),
+            total_uops.flatten(),
+            ways.flatten(),
+            promotion.flatten(),
+        ))
+    }
+
+    /// The spec named by `kind`, from the fields that kind needs.
+    fn from_fields(
+        kind: Option<&str>,
+        total_uops: Option<usize>,
+        ways: Option<usize>,
+        promotion: Option<bool>,
+    ) -> Result<Self, String> {
+        let uops = || total_uops.ok_or("frontend spec missing total_uops");
+        let ways = || ways.ok_or("frontend spec missing ways");
+        match kind.ok_or("frontend spec missing kind")? {
             "ic" => Ok(FrontendSpec::Ic),
             "uop" => Ok(FrontendSpec::UopCache { total_uops: uops()? }),
             "bbtc" => Ok(FrontendSpec::Bbtc { total_uops: uops()? }),
@@ -138,41 +200,70 @@ impl FrontendSpec {
             "xbc" => Ok(FrontendSpec::Xbc {
                 total_uops: uops()?,
                 ways: ways()?,
-                promotion: j
-                    .get("promotion")
-                    .and_then(Json::as_bool)
-                    .ok_or("frontend spec missing promotion")?,
+                promotion: promotion.ok_or("frontend spec missing promotion")?,
             }),
             other => Err(format!("unknown frontend kind {other:?}")),
         }
     }
 
+    /// Checks the geometry by the rule the frontend's constructor
+    /// asserts, so a spec from outside the program can be refused
+    /// instead of panicking in [`FrontendSpec::instantiate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the constructor's message for an inconsistent geometry.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            FrontendSpec::Ic => Ok(()),
+            FrontendSpec::UopCache { total_uops } => uop_config(total_uops).check(),
+            FrontendSpec::Bbtc { total_uops } => bbtc_config(total_uops).check(),
+            FrontendSpec::Tc { total_uops, ways } => tc_config(total_uops, ways).check(),
+            FrontendSpec::Xbc { total_uops, ways, promotion } => {
+                xbc_config(total_uops, ways, promotion).check()
+            }
+        }
+    }
+
     /// Builds a cold frontend instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`FrontendSpec::check`] fails.
     pub fn instantiate(&self) -> Box<dyn Frontend + Send> {
         match *self {
             FrontendSpec::Ic => Box::new(IcFrontend::new(IcFrontendConfig::default())),
             FrontendSpec::UopCache { total_uops } => {
-                Box::new(UopCacheFrontend::new(UopCacheConfig { total_uops, ..Default::default() }))
+                Box::new(UopCacheFrontend::new(uop_config(total_uops)))
             }
             FrontendSpec::Bbtc { total_uops } => {
-                Box::new(BbtcFrontend::new(BbtcConfig { total_uops, ..Default::default() }))
+                Box::new(BbtcFrontend::new(bbtc_config(total_uops)))
             }
-            FrontendSpec::Tc { total_uops, ways } => Box::new(TraceCacheFrontend::new(TcConfig {
-                total_uops,
-                ways,
-                ..Default::default()
-            })),
+            FrontendSpec::Tc { total_uops, ways } => {
+                Box::new(TraceCacheFrontend::new(tc_config(total_uops, ways)))
+            }
             FrontendSpec::Xbc { total_uops, ways, promotion } => {
-                let promotion = if promotion { PromotionMode::Chain } else { PromotionMode::Off };
-                Box::new(XbcFrontend::new(XbcConfig {
-                    total_uops,
-                    ways,
-                    promotion,
-                    ..Default::default()
-                }))
+                Box::new(XbcFrontend::new(xbc_config(total_uops, ways, promotion)))
             }
         }
     }
+}
+
+fn uop_config(total_uops: usize) -> UopCacheConfig {
+    UopCacheConfig { total_uops, ..Default::default() }
+}
+
+fn bbtc_config(total_uops: usize) -> BbtcConfig {
+    BbtcConfig { total_uops, ..Default::default() }
+}
+
+fn tc_config(total_uops: usize, ways: usize) -> TcConfig {
+    TcConfig { total_uops, ways, ..Default::default() }
+}
+
+fn xbc_config(total_uops: usize, ways: usize, promotion: bool) -> XbcConfig {
+    let promotion = if promotion { PromotionMode::Chain } else { PromotionMode::Off };
+    XbcConfig { total_uops, ways, promotion, ..Default::default() }
 }
 
 #[cfg(test)]
@@ -217,6 +308,26 @@ mod tests {
             assert_eq!(FrontendSpec::from_json(&j).unwrap(), spec);
         }
         assert!(FrontendSpec::from_json(&Json::parse("{\"kind\":\"zap\"}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn check_refuses_exactly_what_the_constructors_refuse() {
+        let sizes = [0, 1, 3, 4, 16, 31, 32, 48, 64, 96, 128, 4096, 4100, 8192];
+        for total_uops in sizes {
+            let mut specs = vec![
+                FrontendSpec::Ic,
+                FrontendSpec::UopCache { total_uops },
+                FrontendSpec::Bbtc { total_uops },
+            ];
+            for ways in [0, 1, 2, 3, 4, 16, 17, 64] {
+                specs.push(FrontendSpec::Tc { total_uops, ways });
+                specs.push(FrontendSpec::Xbc { total_uops, ways, promotion: ways % 2 == 0 });
+            }
+            for spec in specs {
+                let built = std::panic::catch_unwind(|| spec.instantiate()).is_ok();
+                assert_eq!(spec.check().is_ok(), built, "{spec:?}: {:?}", spec.check());
+            }
+        }
     }
 
     #[test]
