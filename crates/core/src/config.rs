@@ -3,7 +3,7 @@
 use std::fmt;
 use xbc_frontend::TimingConfig;
 use xbc_predict::{BtbConfig, GshareConfig};
-use xbc_uarch::{DecoderConfig, ICacheConfig};
+use xbc_uarch::{check_capacity, DecoderConfig, ICacheConfig};
 
 /// How branch promotion (§3.8) is realized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -141,6 +141,7 @@ impl XbcConfig {
     ///
     /// Returns a descriptive message on the first inconsistency.
     pub fn check(&self) -> Result<(), String> {
+        check_capacity(self.total_uops)?;
         if !(1..=8).contains(&self.banks) {
             return Err("banks must be in 1..=8".into());
         }

@@ -22,7 +22,7 @@ use crate::probe::Probe;
 use xbc_isa::{Addr, BranchKind};
 use xbc_obs::{CycleKind, D2bCause, Event, EventSink, MispredictKind, UopSource};
 use xbc_predict::{BtbConfig, GshareConfig};
-use xbc_uarch::{DecoderConfig, ICacheConfig, SetAssoc};
+use xbc_uarch::{check_capacity, DecoderConfig, ICacheConfig, SetAssoc};
 use xbc_workload::DynInst;
 
 /// Configuration of a [`BbtcFrontend`].
@@ -102,6 +102,7 @@ impl BbtcConfig {
     ///
     /// Returns a message naming the inconsistency.
     pub fn check(&self) -> Result<(), String> {
+        check_capacity(self.total_uops)?;
         let entries = self.total_uops.checked_div(self.block_uops).unwrap_or(0);
         if entries == 0 || self.block_ways == 0 || !entries.is_multiple_of(self.block_ways) {
             return Err(format!(

@@ -22,7 +22,7 @@ use crate::probe::Probe;
 use xbc_isa::BranchKind;
 use xbc_obs::{CycleKind, D2bCause, Event, EventSink, MispredictKind, UopSource};
 use xbc_predict::{BtbConfig, GshareConfig, IndirectPredictor};
-use xbc_uarch::{DecoderConfig, ICacheConfig, SetAssoc};
+use xbc_uarch::{check_capacity, DecoderConfig, ICacheConfig, SetAssoc};
 use xbc_workload::DynInst;
 
 /// Configuration of a [`TraceCacheFrontend`].
@@ -94,6 +94,7 @@ impl TcConfig {
     ///
     /// Returns a message naming the inconsistency.
     pub fn check(&self) -> Result<(), String> {
+        check_capacity(self.total_uops)?;
         if self.line_uops == 0 || self.ways == 0 {
             return Err("TC lines and ways must be non-zero".into());
         }

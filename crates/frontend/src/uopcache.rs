@@ -15,7 +15,7 @@ use crate::probe::Probe;
 use xbc_isa::Inst;
 use xbc_obs::{CycleKind, D2bCause, Event, EventSink, MispredictKind, UopSource};
 use xbc_predict::{BtbConfig, GshareConfig};
-use xbc_uarch::{DecoderConfig, ICacheConfig, SetAssoc};
+use xbc_uarch::{check_capacity, DecoderConfig, ICacheConfig, SetAssoc};
 use xbc_workload::DynInst;
 
 /// Configuration of a [`UopCacheFrontend`].
@@ -69,6 +69,7 @@ impl UopCacheConfig {
     ///
     /// Returns a message naming the inconsistency.
     pub fn check(&self) -> Result<(), String> {
+        check_capacity(self.total_uops)?;
         let entries = self.total_uops / Inst::MAX_UOPS as usize;
         if entries == 0 || self.ways == 0 || !entries.is_multiple_of(self.ways) {
             return Err(format!(

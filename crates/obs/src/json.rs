@@ -29,6 +29,13 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
+/// Deepest nesting of objects and arrays a document may have. Every
+/// consumer of [`Reader`] recurses once per level (the tree builder,
+/// [`Reader::skip`]), so without a bound one request line of a few
+/// hundred thousand `[` overflows a thread's stack. No document the
+/// workspace writes nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -194,15 +201,20 @@ pub enum Token<'a> {
 /// [`Reader::next_key`] and one value per member, for an array
 /// [`Reader::next_item`] and one value per item; [`Reader::end`] checks
 /// that nothing follows the document.
+///
+/// Objects and arrays may nest at most [`MAX_DEPTH`] levels; opening one
+/// more is an error.
 pub struct Reader<'a> {
     s: &'a str,
     pos: usize,
+    /// Objects and arrays opened and not yet closed.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader positioned at the start of `s`.
     pub fn new(s: &'a str) -> Reader<'a> {
-        Reader { s, pos: 0 }
+        Reader { s, pos: 0, depth: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -226,14 +238,8 @@ impl<'a> Reader<'a> {
         self.skip_ws();
         match self.peek() {
             None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                self.pos += 1;
-                Ok(Token::Obj)
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                Ok(Token::Arr)
-            }
+            Some(b'{') => self.open(Token::Obj),
+            Some(b'[') => self.open(Token::Arr),
             Some(b'"') => self.string().map(Token::Str),
             Some(b't') => self.literal("true", Token::Bool(true)),
             Some(b'f') => self.literal("false", Token::Bool(false)),
@@ -255,6 +261,7 @@ impl<'a> Reader<'a> {
         match self.peek() {
             Some(b'}') => {
                 self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
                 return Ok(None);
             }
             Some(b',') if !first => {
@@ -290,6 +297,7 @@ impl<'a> Reader<'a> {
         match self.peek() {
             Some(b']') => {
                 self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
                 Ok(false)
             }
             Some(b',') if !first => {
@@ -389,6 +397,19 @@ impl<'a> Reader<'a> {
             return Err(format!("trailing data at byte {pos}", pos = self.pos));
         }
         Ok(())
+    }
+
+    /// Consumes the bracket opening `container`, one level deeper.
+    fn open(&mut self, container: Token<'a>) -> Result<Token<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+                pos = self.pos
+            ));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(container)
     }
 
     fn literal(&mut self, lit: &str, v: Token<'a>) -> Result<Token<'a>, String> {
@@ -563,6 +584,30 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f — ünïcode";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_deep_recursion() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Siblings do not add depth.
+        assert!(Json::parse(&format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","))).is_ok());
+        // A 768 KiB document of 262,144 open levels is refused on a
+        // 512 KiB stack, by the tree builder and by `skip` alike.
+        let deep: String = "[{\"a\":".repeat(1 << 17);
+        std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(move || {
+                assert!(Json::parse(&deep).is_err());
+                let mut r = Reader::new(&deep);
+                let head = r.value().unwrap();
+                assert!(r.skip(head).is_err());
+            })
+            .unwrap()
+            .join()
+            .expect("deep documents must not overflow the stack");
     }
 
     #[test]

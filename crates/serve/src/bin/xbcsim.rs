@@ -348,6 +348,12 @@ fn cmd_submit(flags: &Flags) {
     if let Some(stats) = &outcome.store {
         eprintln!("[xbc-serve] store delta: {stats}");
     }
+    if let Some(tier) = &outcome.tier {
+        eprintln!(
+            "[xbc-serve] memory tier: {} of {} cached cells served from memory ({} rows held)",
+            tier.memory_cells, outcome.bench.cached_cells, tier.rows
+        );
+    }
     if let Some(sched) = &outcome.sched {
         eprintln!(
             "[xbc-serve] queue depth {} ({} enqueued, {} completed, {} deduped, {} retried, {} cancelled)",

@@ -1,6 +1,6 @@
 //! The client side of the `xbc-serve-v1` protocol (`xbcsim submit`).
 
-use crate::protocol::{self, SweepRequest};
+use crate::protocol::{self, SweepRequest, TierStats};
 use crate::scheduler::SchedStats;
 use crate::transport::{self, Conn, Endpoint};
 use std::io::{BufRead, BufReader, Write};
@@ -24,6 +24,9 @@ pub struct SubmitOutcome {
     /// The daemon's queue snapshot at completion time (`None` from
     /// pre-scheduler daemons).
     pub sched: Option<SchedStats>,
+    /// How the daemon's memory tier served the request (`None` when it
+    /// runs uncached, or predates the tier).
+    pub tier: Option<TierStats>,
 }
 
 /// Opens a connection and consumes the server hello. A daemon at its
@@ -156,7 +159,11 @@ pub fn submit(endpoint: &Endpoint, req: &SweepRequest) -> Result<SubmitOutcome, 
                     None | Some(Json::Null) => None,
                     Some(s) => Some(protocol::sched_from_json(s)?),
                 };
-                return Ok(SubmitOutcome { rows, bench, store, sched });
+                let tier = match j.get("tier") {
+                    None | Some(Json::Null) => None,
+                    Some(t) => Some(protocol::tier_from_json(t)?),
+                };
+                return Ok(SubmitOutcome { rows, bench, store, sched, tier });
             }
             Some("error") => {
                 return Err(j

@@ -12,18 +12,28 @@
 //! [`capture_share`] arithmetic — so a daemon-simulated row is
 //! indistinguishable from a `Sweep`-simulated one.
 //!
-//! **Single-flight dedup.** Concurrent requests overlapping on a cell
-//! simulate it once: cells are keyed by the same content hash as the
-//! result cache (`result_key`), the first worker to reach a key leads
-//! the simulation, and every other request's worker shares the leader's
-//! finished row. Before simulating, a leader re-probes the result cache
-//! — a concurrent request may have stored the row after this request's
-//! cache probe — so a cell is never re-simulated (and its stored
-//! `elapsed_ms` never overwritten) just because two clients raced.
-//! Shared rows are counted as `deduped_cells`, keeping the accounting
-//! identity: summed over concurrent clients, `simulated_cells` equals
-//! the number of *distinct* cold cells. Trace capture dedups the same
-//! way through [`Store::get_or_capture_shared`].
+//! **Memory tier.** Every cached row the daemon reads from its store is
+//! kept decoded in a bounded [`RowTier`], and served from there while
+//! its entry on disk is unchanged — one `stat` against the identity
+//! recorded at the read. The store stays the source of truth: a deleted,
+//! replaced or rewritten entry misses the tier and is read (and
+//! CRC-checked, and evicted if corrupt) as before.
+//!
+//! **Single-flight dedup, without waiting.** Concurrent requests
+//! overlapping on a cell simulate it once: cells are keyed by the same
+//! content hash as the result cache (`result_key`), the first worker to
+//! reach a key leads the simulation, and a worker that pops a cell whose
+//! key is already being simulated leaves it waiting on that flight and
+//! goes straight back to the queue; the leader hands its row to every
+//! waiting cell, and a failed leader puts them back on the queue. Before
+//! simulating, a leader re-probes the result cache — a concurrent
+//! request may have stored the row after this request's cache probe —
+//! so a cell is never re-simulated (and its stored `elapsed_ms` never
+//! overwritten) just because two clients raced. Shared rows are counted
+//! as `deduped_cells`, keeping the accounting identity: summed over
+//! concurrent clients, `simulated_cells` equals the number of *distinct*
+//! cold cells. Trace capture dedups through the store's own flights
+//! ([`Store::get_or_capture_shared`]).
 //!
 //! Replay is streaming-first: a cell whose trace is already stored
 //! replays through `xbc_sim::replay_stored` ([`Store::replay_trace_stream`]
@@ -46,21 +56,23 @@
 //! shutdown racing an active sweep reports the remaining cell count in
 //! its `bye` line instead of severing the active stream.
 
-use crate::protocol::{self, Request, SweepRequest};
+use crate::protocol::{self, Request, SweepRequest, TierStats};
 #[cfg(feature = "check")]
 use crate::scheduler::MAX_CELL_ATTEMPTS;
 use crate::scheduler::{CellTicket, Scheduler};
+use crate::tier::{Probe, RowTier};
 use crate::transport::{self, Conn, Endpoint, Listener};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xbc_frontend::FrontendMetrics;
 use xbc_sim::{
-    capture_share, replay_stored, resolve_threads, result_key, rows_from_json, FrontendSpec, Row,
-    SweepBench,
+    capture_share, replay_stored, resolve_threads, result_key, FrontendSpec, Row, SweepBench,
 };
-use xbc_store::{CaptureOutcome, Flight, SingleFlight, Store, StreamCapture, StreamReplay};
+use xbc_store::{CaptureOutcome, Store, StreamCapture, StreamReplay};
 use xbc_workload::{standard_traces, Trace, TraceSpec};
 
 #[cfg(feature = "check")]
@@ -158,9 +170,6 @@ enum TraceHandle {
 /// connection thread drains in index order.
 struct Job {
     client: u64,
-    /// Read by the retry path, which only exists under `check` (the
-    /// sole source of worker deaths is the fault injector).
-    #[cfg_attr(not(feature = "check"), allow(dead_code))]
     priority: u32,
     traces: Vec<TraceSpec>,
     frontends: Vec<FrontendSpec>,
@@ -174,8 +183,9 @@ struct Job {
     /// them in trace-major order as the filled prefix grows.
     rows: Mutex<Vec<Option<Row>>>,
     row_cv: Condvar,
-    /// Set when the job cannot finish (worker died twice in a cell);
-    /// the connection thread reports it as an `error` line.
+    /// Set when the job cannot finish (a cell panicked, or its worker
+    /// died twice in a cell); the connection thread reports it as an
+    /// `error` line.
     failed: Mutex<Option<String>>,
     captures: AtomicU64,
     capture_ms: AtomicU64,
@@ -192,7 +202,38 @@ struct Job {
 }
 
 impl Job {
-    #[cfg_attr(not(feature = "check"), allow(dead_code))]
+    /// A job over `rows`, the grid with its cached cells filled, whose
+    /// missing cells are `cells`.
+    fn new(
+        client: u64,
+        priority: u32,
+        traces: Vec<TraceSpec>,
+        frontends: Vec<FrontendSpec>,
+        insts: usize,
+        cells: Vec<Cell>,
+        rows: Vec<Option<Row>>,
+    ) -> Job {
+        Job {
+            client,
+            priority,
+            shared_traces: (0..traces.len()).map(|_| OnceLock::new()).collect(),
+            traces,
+            frontends,
+            insts,
+            cells,
+            rows: Mutex::new(rows),
+            row_cv: Condvar::new(),
+            failed: Mutex::new(None),
+            captures: AtomicU64::new(0),
+            capture_ms: AtomicU64::new(0),
+            sim_ms: AtomicU64::new(0),
+            streamed_cells: AtomicU64::new(0),
+            deduped_cells: AtomicU64::new(0),
+            overlapped_cells: AtomicU64::new(0),
+            overlap_ms: AtomicU64::new(0),
+        }
+    }
+
     fn fail(&self, why: &str) {
         {
             let mut failed = self.failed.lock().expect("job failed lock");
@@ -221,12 +262,76 @@ struct Shared {
     sched: Scheduler<Arc<Job>>,
     /// Daemon-wide in-flight table keyed by `result_key` content hash:
     /// the single-flight dedup for concurrently requested cells.
-    cell_flights: SingleFlight<Row>,
+    flights: CellFlights,
+    /// Rows read from the store, kept decoded (empty without a store).
+    tier: RowTier,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
     next_client: AtomicU64,
     #[cfg(feature = "check")]
     faults: Option<Arc<FaultInjector>>,
+}
+
+impl Shared {
+    /// Where the row cached under `key` is, if anywhere.
+    fn probe(&self, key: &str) -> Probe {
+        match &self.store {
+            Some(store) => self.tier.probe(store, key),
+            None => Probe::Miss,
+        }
+    }
+}
+
+/// A cell waiting for another cell's simulation of the same result key:
+/// its job, its index there, and its dispatch attempt.
+type Waiter = (Arc<Job>, usize, u32);
+
+/// The cells being simulated right now, by `result_key`, each with the
+/// cells that wait for its row. A worker that pops a cell whose key is
+/// already being simulated adds it here and goes back to the queue, so
+/// no worker ever waits on another worker's simulation.
+#[derive(Default)]
+struct CellFlights {
+    running: Mutex<HashMap<String, Vec<Waiter>>>,
+}
+
+impl CellFlights {
+    /// Leads the simulation of `key` (`true`) if none is running;
+    /// otherwise `waiter` waits for the running one's row (`false`).
+    /// Checked and recorded under the lock [`CellFlights::land`] takes,
+    /// so a cell never waits on a flight that has already landed.
+    fn lead_or_wait(&self, key: &str, waiter: Waiter) -> bool {
+        let mut running = self.running.lock().expect("flight table lock");
+        match running.get_mut(key) {
+            Some(waiters) => {
+                waiters.push(waiter);
+                false
+            }
+            None => {
+                running.insert(key.to_owned(), Vec::new());
+                true
+            }
+        }
+    }
+
+    /// Ends the flight for `key`, returning the cells that waited on it.
+    fn land(&self, key: &str) -> Vec<Waiter> {
+        self.running.lock().expect("flight table lock").remove(key).unwrap_or_default()
+    }
+}
+
+/// Ends the flight for `key`: every waiting cell gets a copy of the
+/// leader's `row` as a deduped cell, or, when the leader failed (`None`),
+/// goes back to the front of its client's queue to be led afresh —
+/// unless its own request has failed meanwhile.
+fn land(sched: &Scheduler<Arc<Job>>, flights: &CellFlights, key: &str, row: Option<&Row>) {
+    for (job, ci, attempt) in flights.land(key) {
+        match row {
+            Some(row) => deliver(sched, &job, ci, row.clone(), CellSource::Deduped),
+            None if job.failed.lock().expect("job failed lock").is_some() => {}
+            None => sched.resubmit(job.client, job.priority, Arc::clone(&job), ci, attempt),
+        }
+    }
 }
 
 /// How a finished cell's row was obtained, for the job's accounting.
@@ -236,10 +341,10 @@ enum CellSource {
 }
 
 /// Fills a finished cell's slot and wakes the connection thread.
-fn deliver(shared: &Shared, job: &Job, ci: usize, row: Row, source: CellSource) {
+fn deliver(sched: &Scheduler<Arc<Job>>, job: &Job, ci: usize, row: Row, source: CellSource) {
     if let CellSource::Deduped = source {
         job.deduped_cells.fetch_add(1, Ordering::Relaxed);
-        shared.sched.note_deduped(1);
+        sched.note_deduped(1);
     }
     let cell = &job.cells[ci];
     let mut rows = job.rows.lock().expect("job rows lock");
@@ -402,48 +507,54 @@ fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
     }
 }
 
-/// Resolves one dispatched cell through the single-flight table: lead
-/// the simulation, or share a concurrent leader's row.
-fn run_cell(shared: &Shared, job: &Job, ci: usize) {
+/// Resolves one dispatched cell: lead its simulation, or leave it
+/// waiting on the one already running. A panic while leading fails the
+/// cell's request with an `error` line; the cells waiting on it go back
+/// to the queue.
+fn run_cell(shared: &Shared, job: &Arc<Job>, ci: usize, attempt: u32) {
     let cell = &job.cells[ci];
-    let key = result_key(&job.traces[cell.trace], &job.frontends[cell.fe], job.insts);
-    loop {
-        match shared.cell_flights.join(&key) {
-            Flight::Leader(lead) => {
-                // Re-probe the result cache before simulating: a
-                // concurrent request may have stored this cell after
-                // our cache probe. Re-simulating would overwrite the
-                // stored row with a different `elapsed_ms` and break
-                // byte-identical replay.
-                if let Some(store) = &shared.store {
-                    if let Some(body) = store.load_result(&key) {
-                        if let Ok(parsed) = rows_from_json(&body) {
-                            if parsed.len() == 1 {
-                                let row = parsed.into_iter().next().expect("one row");
-                                lead.complete(row.clone());
-                                deliver(shared, job, ci, row, CellSource::Deduped);
-                                return;
-                            }
-                        }
-                    }
-                }
-                let row = simulate_cell(shared, job, ci);
-                if let Some(store) = &shared.store {
-                    store.store_result(&key, &xbc_sim::to_json(std::slice::from_ref(&row)));
-                }
-                lead.complete(row.clone());
-                deliver(shared, job, ci, row, CellSource::Simulated);
-                return;
-            }
-            Flight::Shared(row) => {
-                deliver(shared, job, ci, row, CellSource::Deduped);
-                return;
-            }
-            // The leader died without publishing (injected worker
-            // kill); re-race the key — somebody has to do the work.
-            Flight::Failed(_) => continue,
+    let (spec, fespec) = (&job.traces[cell.trace], &job.frontends[cell.fe]);
+    let key = result_key(spec, fespec, job.insts);
+    if !shared.flights.lead_or_wait(&key, (Arc::clone(job), ci, attempt)) {
+        return;
+    }
+    match catch_unwind(AssertUnwindSafe(|| lead_cell(shared, job, ci, &key))) {
+        Ok((row, source)) => {
+            land(&shared.sched, &shared.flights, &key, Some(&row));
+            deliver(&shared.sched, job, ci, row, source);
+        }
+        Err(panic) => {
+            let what = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            job.fail(&format!("cell {} x {} panicked: {what}", spec.name, fespec.label()));
+            shared.sched.cancel(job.client);
+            land(&shared.sched, &shared.flights, &key, None);
         }
     }
+}
+
+/// The leader's share of a cell: re-probe the result cache — a
+/// concurrent request may have stored this cell after this request's
+/// probe, and re-simulating would overwrite the stored row with a
+/// different `elapsed_ms` and break byte-identical replay — else
+/// simulate and store the row. The row is stored before the flight
+/// lands, so a later leader of the same key finds it.
+fn lead_cell(shared: &Shared, job: &Job, ci: usize, key: &str) -> (Row, CellSource) {
+    if let Probe::Memory(row) | Probe::Disk(row) = shared.probe(key) {
+        return (row, CellSource::Deduped);
+    }
+    let row = simulate_cell(shared, job, ci);
+    #[cfg(feature = "check")]
+    if shared.faults.as_ref().is_some_and(|f| f.take_cell_panic()) {
+        panic!("injected cell panic");
+    }
+    if let Some(store) = &shared.store {
+        store.store_result(key, &xbc_sim::to_json(std::slice::from_ref(&row)));
+    }
+    (row, CellSource::Simulated)
 }
 
 /// Worker loop: drain the scheduler; exit once it reports drained
@@ -474,8 +585,7 @@ fn worker(shared: &Shared) {
                 continue;
             }
         }
-        let _ = attempt;
-        run_cell(shared, &job, cell);
+        run_cell(shared, &job, cell, attempt);
         shared.sched.complete();
     }
 }
@@ -511,6 +621,7 @@ fn stream_rows(
     out: &mut Conn,
     wall0: Instant,
     cached_cells: usize,
+    memory_cells: usize,
     stats0: Option<xbc_store::StoreStats>,
 ) -> std::io::Result<bool> {
     enum Got {
@@ -610,16 +721,27 @@ fn stream_rows(
         )
     });
     let sched = shared.sched.stats();
-    pending.push_str(&protocol::done_line(n_cells, &bench, delta.as_ref(), Some(&sched)));
+    let tier = shared
+        .store
+        .as_ref()
+        .map(|_| TierStats { memory_cells: memory_cells as u64, rows: shared.tier.len() as u64 });
+    pending.push_str(&protocol::done_line(
+        n_cells,
+        &bench,
+        delta.as_ref(),
+        Some(&sched),
+        tier.as_ref(),
+    ));
     pending.push('\n');
     send(out, &mut pending)?;
     if shared.progress {
         eprintln!(
-            "[xbc-serve] client {}: {} cells ({} cached, {} simulated, {} deduped, {} streamed, \
-             {} overlapped) in {} ms (queue depth {})",
+            "[xbc-serve] client {}: {} cells ({} cached, {} of them from memory, {} simulated, \
+             {} deduped, {} streamed, {} overlapped) in {} ms (queue depth {})",
             job.client,
             n_cells,
             cached_cells,
+            memory_cells,
             bench.simulated_cells,
             deduped,
             job.streamed_cells.load(Ordering::Relaxed),
@@ -664,27 +786,21 @@ fn handle_sweep(
     let n_cells = specs.len() * n_fe;
     let mut rows: Vec<Option<Row>> = vec![None; n_cells];
 
-    // Probe the result cache — same sequential pass, same eviction of
-    // undecodable entries, as `Sweep::run_with_bench` phase 1.
-    if let Some(store) = &shared.store {
+    // Probe the result cache — the memory tier, then the store, with
+    // the same eviction of undecodable entries as `Sweep::run_with_bench`
+    // phase 1.
+    let mut memory_cells = 0;
+    if shared.store.is_some() {
         for (ti, spec) in specs.iter().enumerate() {
             for (fi, fe) in req.frontends.iter().enumerate() {
-                let key = result_key(spec, fe, req.insts);
-                let Some(body) = store.load_result(&key) else { continue };
-                match rows_from_json(&body) {
-                    Ok(parsed) if parsed.len() == 1 => {
-                        rows[ti * n_fe + fi] = parsed.into_iter().next();
+                rows[ti * n_fe + fi] = match shared.probe(&result_key(spec, fe, req.insts)) {
+                    Probe::Memory(row) => {
+                        memory_cells += 1;
+                        Some(row)
                     }
-                    Ok(parsed) => {
-                        store.evict_result(
-                            &key,
-                            &format!("expected 1 cached row, found {}", parsed.len()),
-                        );
-                    }
-                    Err(e) => {
-                        store.evict_result(&key, &format!("undecodable cached row: {e}"));
-                    }
-                }
+                    Probe::Disk(row) => Some(row),
+                    Probe::Miss => None,
+                };
             }
         }
     }
@@ -705,25 +821,8 @@ fn handle_sweep(
     }
     let cached_cells = n_cells - cells.len();
 
-    let job = Arc::new(Job {
-        client,
-        priority: req.priority,
-        shared_traces: (0..specs.len()).map(|_| OnceLock::new()).collect(),
-        traces: specs,
-        frontends: req.frontends,
-        insts: req.insts,
-        cells,
-        rows: Mutex::new(rows),
-        row_cv: Condvar::new(),
-        failed: Mutex::new(None),
-        captures: AtomicU64::new(0),
-        capture_ms: AtomicU64::new(0),
-        sim_ms: AtomicU64::new(0),
-        streamed_cells: AtomicU64::new(0),
-        deduped_cells: AtomicU64::new(0),
-        overlapped_cells: AtomicU64::new(0),
-        overlap_ms: AtomicU64::new(0),
-    });
+    let job =
+        Arc::new(Job::new(client, req.priority, specs, req.frontends, req.insts, cells, rows));
     if !job.cells.is_empty() {
         if let Err(refused) =
             shared.sched.register(client, req.priority, Arc::clone(&job), 0..job.cells.len())
@@ -736,7 +835,7 @@ fn handle_sweep(
     // rows flow out immediately. On any stream error — the client hung
     // up, or a fault severed the connection — drop the client's
     // still-queued cells so one dead client cannot occupy the pool.
-    let streamed = stream_rows(shared, &job, out, wall0, cached_cells, stats0);
+    let streamed = stream_rows(shared, &job, out, wall0, cached_cells, memory_cells, stats0);
     if streamed.is_err() {
         shared.sched.cancel(client);
     }
@@ -871,7 +970,8 @@ impl Server {
             idle_timeout: config.idle_timeout,
             stream_capture: config.stream_capture,
             sched: Scheduler::new(),
-            cell_flights: SingleFlight::new(),
+            flights: CellFlights::default(),
+            tier: RowTier::new(),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             next_client: AtomicU64::new(1),
@@ -954,4 +1054,77 @@ impl Server {
 /// another live daemon already answers on it.
 pub fn serve(config: &ServeConfig) -> std::io::Result<()> {
     Server::bind(config.clone())?.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xbc_workload::standard_traces;
+
+    /// A one-cell job of `client`, its cell missing.
+    fn job(client: u64) -> Arc<Job> {
+        let traces = vec![standard_traces()[0].clone()];
+        let cells = vec![Cell { trace: 0, fe: 0, rank: 0, missing: 1 }];
+        Arc::new(Job::new(client, 0, traces, vec![FrontendSpec::Ic], 1_000, cells, vec![None]))
+    }
+
+    fn leaders_row() -> Row {
+        let m = FrontendMetrics { cycles: 4_321, ..Default::default() };
+        Row::new("spec.gcc", "spec", FrontendSpec::Ic, 1_000, &m)
+    }
+
+    fn row_of(job: &Job) -> Option<Row> {
+        job.rows.lock().unwrap()[0].clone()
+    }
+
+    #[test]
+    fn joining_a_running_flight_returns_at_once() {
+        let flights = CellFlights::default();
+        let (leader, rival) = (job(1), job(2));
+        assert!(flights.lead_or_wait("k", (leader, 0, 0)));
+        // While the leader still runs, another worker's cell of the same
+        // key waits on it without blocking that worker.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(flights.lead_or_wait("k", (Arc::clone(&rival), 0, 0))).unwrap());
+            let led = rx.recv_timeout(Duration::from_secs(10)).expect("the join returned");
+            assert!(!led, "a running flight is joined, not led twice");
+        });
+        assert!(flights.lead_or_wait("other", (rival, 0, 0)), "other keys lead their own flight");
+    }
+
+    #[test]
+    fn waiting_cells_get_the_leaders_row() {
+        let (flights, sched) = (CellFlights::default(), Scheduler::new());
+        let (leader, a, b) = (job(1), job(2), job(3));
+        assert!(flights.lead_or_wait("k", (leader, 0, 0)));
+        assert!(!flights.lead_or_wait("k", (Arc::clone(&a), 0, 0)));
+        assert!(!flights.lead_or_wait("k", (Arc::clone(&b), 0, 0)));
+        land(&sched, &flights, "k", Some(&leaders_row()));
+        for waiter in [&a, &b] {
+            assert_eq!(row_of(waiter).map(|r| r.cycles), Some(4_321));
+            assert_eq!(waiter.deduped_cells.load(Ordering::Relaxed), 1);
+        }
+        assert_eq!(sched.stats().deduped_cells, 2);
+        assert!(flights.lead_or_wait("k", (a, 0, 0)), "a landed flight is gone");
+    }
+
+    #[test]
+    fn a_failed_leader_requeues_its_waiting_cells() {
+        let (flights, sched) = (CellFlights::default(), Scheduler::new());
+        let (leader, a, failed) = (job(1), job(2), job(3));
+        assert!(flights.lead_or_wait("k", (leader, 0, 0)));
+        assert!(!flights.lead_or_wait("k", (Arc::clone(&a), 0, 1)));
+        assert!(!flights.lead_or_wait("k", (Arc::clone(&failed), 0, 0)));
+        failed.fail("its client went away");
+        land(&sched, &flights, "k", None);
+        assert!(row_of(&a).is_none(), "a failed flight delivers no row");
+        sched.begin_drain();
+        let t = sched.pop().expect("the waiting cell is queued again");
+        assert_eq!((t.job.client, t.cell, t.attempt), (2, 0, 1));
+        assert!(flights.lead_or_wait("k", (t.job, 0, 1)), "it leads a fresh flight");
+        sched.complete();
+        assert!(sched.pop().is_none(), "a failed request's cell is not queued again");
+        assert_eq!(sched.stats().retried_cells, 1);
+    }
 }

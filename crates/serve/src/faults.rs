@@ -10,6 +10,10 @@
 //! * [`kill_next_cells`](FaultInjector::kill_next_cells) — the next N
 //!   dispatched cells fail as if the worker died inside them; the
 //!   scheduler retries each cell once, then fails the owning request.
+//! * [`panic_next_cells`](FaultInjector::panic_next_cells) — the next
+//!   N simulated cells panic after their simulation, before their row
+//!   is stored; the panic fails the cell's request, and cells of other
+//!   requests waiting for that row go back to the queue.
 //! * [`delay_rows`](FaultInjector::delay_rows) — sleep before each row
 //!   write, widening race windows for disconnect tests.
 //! * [`drop_connection_after`](FaultInjector::drop_connection_after) /
@@ -43,6 +47,8 @@ pub(crate) enum RowFault {
 pub struct FaultInjector {
     /// Pending worker-kill count; each dispatched cell decrements one.
     kill_cells: AtomicU32,
+    /// Pending cell-panic count; each simulated cell decrements one.
+    panic_cells: AtomicU32,
     /// Milliseconds to sleep before each row write (0 = off).
     delay_row_ms: AtomicU64,
     /// Sever the stream after this many rows (-1 = off).
@@ -66,6 +72,7 @@ impl FaultInjector {
     pub fn new() -> FaultInjector {
         FaultInjector {
             kill_cells: AtomicU32::new(0),
+            panic_cells: AtomicU32::new(0),
             delay_row_ms: AtomicU64::new(0),
             drop_after_rows: AtomicI64::new(-1),
             truncate_after_rows: AtomicI64::new(-1),
@@ -77,6 +84,12 @@ impl FaultInjector {
     /// died mid-simulation.
     pub fn kill_next_cells(&self, n: u32) {
         self.kill_cells.store(n, Ordering::SeqCst);
+    }
+
+    /// Arms the next `n` simulated cells to panic once their simulation
+    /// finishes, before their row is stored or delivered.
+    pub fn panic_next_cells(&self, n: u32) {
+        self.panic_cells.store(n, Ordering::SeqCst);
     }
 
     /// Sleeps `ms` before every row write (0 disables).
@@ -97,6 +110,7 @@ impl FaultInjector {
     /// Disarms every fault and zeroes the row counter.
     pub fn reset(&self) {
         self.kill_cells.store(0, Ordering::SeqCst);
+        self.panic_cells.store(0, Ordering::SeqCst);
         self.delay_row_ms.store(0, Ordering::SeqCst);
         self.drop_after_rows.store(-1, Ordering::SeqCst);
         self.truncate_after_rows.store(-1, Ordering::SeqCst);
@@ -107,6 +121,14 @@ impl FaultInjector {
     /// cell dispatch.
     pub(crate) fn take_worker_kill(&self) -> bool {
         self.kill_cells
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Consumes one armed cell panic, if any. Called by a cell's leader
+    /// after its simulation.
+    pub(crate) fn take_cell_panic(&self) -> bool {
+        self.panic_cells
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
     }

@@ -12,6 +12,8 @@
 //!   (priority classes, round-robin across clients within a class, the
 //!   same cell model as `xbc_sim::Sweep`), with daemon-wide
 //!   single-flight dedup of concurrently requested cells and captures,
+//! * [`RowTier`] — the daemon's memory tier: decoded cached rows, served
+//!   while their store entry is unchanged,
 //! * [`submit`] / [`ping`] / [`shutdown`] — the client side, used by
 //!   `xbcsim submit`,
 //! * [`faults`] (under the `check` feature) — deterministic
@@ -39,11 +41,13 @@ mod daemon;
 pub mod faults;
 pub mod protocol;
 mod scheduler;
+mod tier;
 mod transport;
 
 pub use client::{ping, shutdown, submit, SubmitOutcome};
 pub use daemon::{serve, ServeConfig, Server};
 pub use scheduler::{ClientCells, SchedStats};
+pub use tier::{Probe, RowTier, TIER_ROWS};
 pub use transport::Endpoint;
 
 #[cfg(feature = "check")]

@@ -10,7 +10,7 @@
 //! server → {"type":"pong"}
 //! client → {"type":"sweep","traces":["spec.gcc"],"frontends":[{"kind":"ic"}],"insts":20000,"priority":0}
 //! server → {"type":"row","index":0,"row":{...}}         (index order 0..rows-1)
-//! server → {"type":"done","rows":1,"bench":{...},"store":{...},"sched":{...}}
+//! server → {"type":"done","rows":1,"bench":{...},"store":{...},"sched":{...},"tier":{...}}
 //! client → {"type":"shutdown"}
 //! server → {"type":"bye","draining":3}                  (daemon drains 3 cells, then exits)
 //! ```
@@ -18,7 +18,9 @@
 //! `priority` is optional on the wire (default 0); higher classes are
 //! dispatched first, and within a class the daemon round-robins across
 //! clients. The `done` trailer's `sched` object snapshots the daemon's
-//! queue (depth, per-client cell counts, dedup/retry counters).
+//! queue (depth, per-client cell counts, dedup/retry counters); its
+//! `tier` object says how many of the request's cached cells came from
+//! the daemon's memory tier, and how many rows the tier holds.
 //!
 //! Errors come back as `{"type":"error","message":"..."}` and leave the
 //! connection usable for the next request.
@@ -331,6 +333,27 @@ pub fn stats_delta(before: &StoreStats, after: &StoreStats) -> StoreStats {
     }
 }
 
+/// The daemon's memory tier as one request saw it (see the `done`
+/// trailer).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TierStats {
+    /// The request's cached cells served from memory, without a store
+    /// read; the rest of its `cached_cells` were read from disk.
+    pub memory_cells: u64,
+    /// Rows the tier held when the request finished.
+    pub rows: u64,
+}
+
+/// Reconstructs a [`TierStats`] from a parsed JSON object.
+///
+/// # Errors
+///
+/// Returns a message naming the missing or malformed field.
+pub fn tier_from_json(j: &Json) -> Result<TierStats, String> {
+    let field = |k: &str| j.get(k).and_then(Json::as_u64).ok_or(format!("tier stats missing {k}"));
+    Ok(TierStats { memory_cells: field("memory_cells")?, rows: field("rows")? })
+}
+
 /// Serializes a [`SchedStats`] queue snapshot as a single-line JSON
 /// object.
 pub fn sched_to_compact_json(s: &SchedStats) -> String {
@@ -391,15 +414,16 @@ pub fn sched_from_json(j: &Json) -> Result<SchedStats, String> {
     })
 }
 
-/// The `done` trailer closing a sweep response. `store` is `null` when
-/// the daemon runs uncached; `sched` is the daemon's queue snapshot at
-/// completion time (older daemons omitted it, so readers treat it as
-/// optional).
+/// The `done` trailer closing a sweep response. `store` and `tier` are
+/// `null` when the daemon runs uncached; `sched` is the daemon's queue
+/// snapshot at completion time (older daemons omitted it and `tier`, so
+/// readers treat both as optional).
 pub fn done_line(
     rows: usize,
     bench: &SweepBench,
     store: Option<&StoreStats>,
     sched: Option<&SchedStats>,
+    tier: Option<&TierStats>,
 ) -> String {
     let store = match store {
         Some(s) => stats_to_compact_json(s),
@@ -409,11 +433,16 @@ pub fn done_line(
         Some(s) => sched_to_compact_json(s),
         None => "null".to_owned(),
     };
+    let tier = match tier {
+        Some(t) => format!("{{\"memory_cells\":{},\"rows\":{}}}", t.memory_cells, t.rows),
+        None => "null".to_owned(),
+    };
     format!(
-        "{{\"type\":\"done\",\"rows\":{rows},\"bench\":{},\"store\":{},\"sched\":{}}}",
+        "{{\"type\":\"done\",\"rows\":{rows},\"bench\":{},\"store\":{},\"sched\":{},\"tier\":{}}}",
         bench_to_compact_json(bench),
         store,
-        sched
+        sched,
+        tier
     )
 }
 
@@ -605,6 +634,7 @@ mod tests {
             &SweepBench::default(),
             Some(&StoreStats::default()),
             Some(&SchedStats::default()),
+            Some(&TierStats { memory_cells: 4, rows: 9 }),
         );
         let j = Json::parse(&line).unwrap();
         assert_eq!(j.get("type").and_then(Json::as_str), Some("done"));
@@ -612,10 +642,15 @@ mod tests {
         assert!(bench_from_json(j.get("bench").unwrap()).is_ok());
         assert!(stats_from_json(j.get("store").unwrap()).is_ok());
         assert!(sched_from_json(j.get("sched").unwrap()).is_ok());
-        let uncached = done_line(0, &SweepBench::default(), None, None);
+        assert_eq!(
+            tier_from_json(j.get("tier").unwrap()),
+            Ok(TierStats { memory_cells: 4, rows: 9 })
+        );
+        let uncached = done_line(0, &SweepBench::default(), None, None, None);
         let j = Json::parse(&uncached).unwrap();
         assert_eq!(j.get("store"), Some(&Json::Null));
         assert_eq!(j.get("sched"), Some(&Json::Null));
+        assert_eq!(j.get("tier"), Some(&Json::Null));
     }
 
     #[test]

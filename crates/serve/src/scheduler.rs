@@ -43,7 +43,8 @@ pub struct SchedStats {
     pub completed_cells: u64,
     /// Cells resolved by sharing another request's in-flight result.
     pub deduped_cells: u64,
-    /// Cells re-dispatched after a worker died inside them.
+    /// Cells re-dispatched after a worker died inside them, or after
+    /// the simulation they waited on failed.
     pub retried_cells: u64,
     /// Cells dropped because their job failed or its client vanished.
     pub cancelled_cells: u64,
@@ -198,9 +199,31 @@ impl<J: Clone> Scheduler<J> {
     /// bound attempts with [`MAX_CELL_ATTEMPTS`].
     #[cfg_attr(not(feature = "check"), allow(dead_code))]
     pub fn requeue(&self, client: u64, priority: u32, job: J, cell: usize, attempt: u32) {
+        self.push_front(true, client, priority, job, cell, attempt);
+    }
+
+    /// Puts a cell that was waiting on another cell's simulation back at
+    /// the front of its client's queue, because that simulation failed.
+    /// Unlike [`Scheduler::requeue`] the cell holds no worker: it left
+    /// its worker when it started waiting.
+    pub fn resubmit(&self, client: u64, priority: u32, job: J, cell: usize, attempt: u32) {
+        self.push_front(false, client, priority, job, cell, attempt);
+    }
+
+    fn push_front(
+        &self,
+        dispatched: bool,
+        client: u64,
+        priority: u32,
+        job: J,
+        cell: usize,
+        attempt: u32,
+    ) {
         self.retried.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
-        inner.running -= 1;
+        if dispatched {
+            inner.running -= 1;
+        }
         if let Some(queue) = inner.queues.iter_mut().find(|q| q.client == client) {
             queue.pending.push_front((cell, attempt));
         } else {
@@ -348,6 +371,22 @@ mod tests {
         assert_eq!(sched.stats().retried_cells, 1);
         sched.cancel(1);
         assert_eq!(sched.stats().cancelled_cells, 1);
+    }
+
+    #[test]
+    fn resubmit_queues_a_waiting_cell_without_a_worker() {
+        let sched: Scheduler<u64> = Scheduler::new();
+        sched.register(1, 0, 1, [10]).unwrap();
+        let t = sched.pop().unwrap();
+        // Cell 10 left its worker to wait; its leader failed.
+        sched.complete();
+        sched.resubmit(1, 0, 1, t.cell, t.attempt);
+        sched.begin_drain();
+        let t = sched.pop().expect("the resubmitted cell is queued again");
+        assert_eq!((t.job, t.cell), (1, 10));
+        sched.complete();
+        assert!(sched.pop().is_none(), "nothing runs or waits any more");
+        assert_eq!(sched.stats().retried_cells, 1);
     }
 
     #[test]

@@ -331,6 +331,27 @@ mod tests {
     }
 
     #[test]
+    fn check_refuses_capacities_past_the_ceiling() {
+        use xbc_uarch::MAX_TOTAL_UOPS;
+        for total_uops in [MAX_TOTAL_UOPS + 32, 1 << 30, 1 << 62, usize::MAX - 31] {
+            for spec in [
+                FrontendSpec::UopCache { total_uops },
+                FrontendSpec::Bbtc { total_uops },
+                FrontendSpec::Tc { total_uops, ways: 4 },
+                FrontendSpec::Xbc { total_uops, ways: 2, promotion: true },
+            ] {
+                let err = spec.check().expect_err("past the ceiling");
+                assert!(err.contains("ceiling"), "{spec:?}: {err}");
+                // The constructors assert the same rule, before sizing
+                // anything.
+                assert!(std::panic::catch_unwind(|| spec.instantiate()).is_err(), "{spec:?}");
+            }
+        }
+        let largest = FrontendSpec::Xbc { total_uops: MAX_TOTAL_UOPS, ways: 2, promotion: true };
+        assert_eq!(largest.check(), Ok(()));
+    }
+
+    #[test]
     fn keys_distinguish_all_fields() {
         let a = FrontendSpec::Xbc { total_uops: 16384, ways: 2, promotion: true };
         let b = FrontendSpec::Xbc { total_uops: 16384, ways: 2, promotion: false };

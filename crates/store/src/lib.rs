@@ -48,7 +48,7 @@ use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 use xbc_workload::codec::{crc32, FORMAT_VERSION};
 use xbc_workload::{ChannelSource, DynInst, Trace, TraceSpec, TraceStream};
 
@@ -309,7 +309,7 @@ impl<V: Clone> Drop for FlightLead<'_, V> {
 /// leader's result instead of redoing the work.
 ///
 /// This is the dedup primitive behind [`Store::get_or_capture_shared`]
-/// and the `xbc-serve` daemon's cross-request cell dedup. Keys are
+/// and [`Store::stream_capture_shared`]. Keys are
 /// caller-composed content hashes (the same discipline as the store's
 /// on-disk keys), values are cheap clones (`Arc`s in practice).
 ///
@@ -916,7 +916,28 @@ impl Store {
     /// Entries failing the CRC check are logged, deleted and reported as
     /// misses.
     pub fn load_result(&self, key: &str) -> Option<String> {
+        self.read_result(key, false).map(|(body, _)| body)
+    }
+
+    /// [`Store::load_result`], plus the identity of the file the body
+    /// was read from, for a caller that keeps the body and wants to know
+    /// later, with one [`Store::result_identity`], whether the entry is
+    /// still that file, unwritten.
+    ///
+    /// The identity is `None` when it could not vouch for that: the
+    /// entry changed within the last [`SETTLE`], so a rewrite within
+    /// the same filesystem clock tick could leave every field of it
+    /// unchanged, or the platform has no inode numbers.
+    pub fn load_result_entry(&self, key: &str) -> Option<(String, Option<EntryIdentity>)> {
+        self.read_result(key, true)
+    }
+
+    /// [`Store::load_result_entry`]; the identity is looked up only if
+    /// `identify`, sparing plain loads the `fstat`.
+    fn read_result(&self, key: &str, identify: bool) -> Option<(String, Option<EntryIdentity>)> {
         let path = self.result_path(key);
+        // The clock is read before the `stat`: see `EntryIdentity::settled`.
+        let now = identify.then(SystemTime::now);
         let mut file = match fs::File::open(&path) {
             Ok(f) => f,
             Err(_) => {
@@ -924,6 +945,12 @@ impl Store {
                 return None;
             }
         };
+        // Taken before the read: a write after it changes the identity,
+        // so the identity never vouches for bytes it did not see.
+        let identity = now.and_then(|now| {
+            let meta = file.metadata().ok()?;
+            EntryIdentity::of(&meta).filter(|id| id.settled(now))
+        });
         let mut raw = Vec::new();
         if let Err(e) = file.read_to_end(&mut raw) {
             self.evict(&path, &format!("read failed: {e}"));
@@ -933,13 +960,20 @@ impl Store {
             Ok(body) => {
                 self.c.result_hits.fetch_add(1, Ordering::Relaxed);
                 self.c.bytes_read.fetch_add(raw.len() as u64, Ordering::Relaxed);
-                Some(body)
+                Some((body, identity))
             }
             Err(why) => {
                 self.evict(&path, &why);
                 None
             }
         }
+    }
+
+    /// The identity of the result entry for `key` as one `stat` sees it
+    /// now, or `None` if there is no entry (or no inode numbers on this
+    /// platform). Counts nothing: it reads no entry.
+    pub fn result_identity(&self, key: &str) -> Option<EntryIdentity> {
+        fs::metadata(self.result_path(key)).ok().and_then(|meta| EntryIdentity::of(&meta))
     }
 
     /// Parses and validates a result-cache entry: magic, CRC over the
@@ -1130,6 +1164,64 @@ struct OpenedStream {
     meta: fs::Metadata,
 }
 
+/// How long after its last change an entry's timestamps can tell any
+/// later rewrite apart. Linux stamps files from a clock that advances
+/// once per scheduler tick (at most 10 ms), so a rewrite within the tick
+/// of the previous write can keep its mtime and ctime; once the entry is
+/// older than this, every later write moves its ctime.
+pub const SETTLE: Duration = Duration::from_millis(50);
+
+/// What one `stat` says about a store entry: which file the path names,
+/// its length, and when its data and inode last changed (ns).
+///
+/// Two equal identities taken at different times mean the path still
+/// names the same file, unwritten in between, provided the first was
+/// [settled](EntryIdentity::settled): an entry replaced through the
+/// store's tmp + rename has a new inode, one rewritten in place a new
+/// mtime and ctime, and a deleted one has no identity at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EntryIdentity {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime_ns: i128,
+    ctime_ns: i128,
+}
+
+impl EntryIdentity {
+    #[cfg(unix)]
+    fn of(meta: &fs::Metadata) -> Option<EntryIdentity> {
+        use std::os::unix::fs::MetadataExt;
+        let ns = |s: i64, n: i64| i128::from(s) * 1_000_000_000 + i128::from(n);
+        Some(EntryIdentity {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            len: meta.len(),
+            mtime_ns: ns(meta.mtime(), meta.mtime_nsec()),
+            ctime_ns: ns(meta.ctime(), meta.ctime_nsec()),
+        })
+    }
+
+    /// Without inode numbers nothing can tell a replaced file apart.
+    #[cfg(not(unix))]
+    fn of(_meta: &fs::Metadata) -> Option<EntryIdentity> {
+        None
+    }
+
+    /// Whether any write after `now` must change this identity: the
+    /// entry last changed at least [`SETTLE`] before `now`. `now` must
+    /// be read before the `stat` that took the identity, so that every
+    /// later write is stamped at least `SETTLE` minus one clock tick
+    /// after the recorded ctime. A clock that steps back reads as not
+    /// settled.
+    fn settled(&self, now: SystemTime) -> bool {
+        let Ok(since_epoch) = now.duration_since(SystemTime::UNIX_EPOCH) else {
+            return false;
+        };
+        since_epoch.as_nanos() as i128 - self.ctime_ns >= SETTLE.as_nanos() as i128
+    }
+}
+
 /// Whether two metadata snapshots describe the same file.
 #[cfg(unix)]
 fn same_file(a: &fs::Metadata, b: &fs::Metadata) -> bool {
@@ -1165,6 +1257,42 @@ mod tests {
         fn drop(&mut self) {
             fs::remove_dir_all(&self.0).ok();
         }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn result_identity_tells_every_change_to_an_entry_apart() {
+        let s = Scratch::new("identity");
+        let store = Store::open(&s.0).unwrap();
+        let key = "row|identity";
+        assert_eq!(store.result_identity(key), None, "no entry, no identity");
+        store.store_result(key, "[1]");
+        let (body, fresh) = store.load_result_entry(key).unwrap();
+        assert_eq!(body, "[1]");
+        assert_eq!(fresh, None, "a just-written entry cannot vouch for itself yet");
+
+        std::thread::sleep(SETTLE + Duration::from_millis(10));
+        let (_, read) = store.load_result_entry(key).unwrap();
+        let read = read.expect("a settled entry has an identity");
+        assert_eq!(store.result_identity(key), Some(read), "unchanged entry, same identity");
+
+        // Rewritten in place with the same length: new mtime and ctime.
+        let path = store.result_path(key);
+        let mut raw = fs::read(&path).unwrap();
+        *raw.last_mut().unwrap() ^= 1;
+        fs::OpenOptions::new().write(true).open(&path).unwrap().write_all(&raw).unwrap();
+        let rewritten = store.result_identity(key).unwrap();
+        assert_ne!(rewritten, read, "an in-place rewrite must change the identity");
+
+        // Replaced through tmp + rename: a new inode.
+        store.store_result(key, "[1]");
+        let replaced = store.result_identity(key).unwrap();
+        assert_ne!(replaced, read);
+        assert_ne!(replaced, rewritten);
+
+        fs::remove_file(&path).unwrap();
+        assert_eq!(store.result_identity(key), None, "a deleted entry has no identity");
+        assert_eq!(store.stats().result_hits, 2, "identity queries read no entry");
     }
 
     #[test]

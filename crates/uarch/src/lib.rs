@@ -40,3 +40,24 @@ pub use decoder::{Decoder, DecoderConfig};
 pub use histogram::Histogram;
 pub use icache::{ICache, ICacheConfig, IcAccess};
 pub use index::SetIndex;
+
+/// Largest capacity, in uops, any frontend structure may be configured
+/// with: 512× the paper's largest (32K-uop) configuration. Every
+/// structure's `check` refuses more, so a geometry from outside the
+/// program cannot ask a constructor for an array it cannot size.
+pub const MAX_TOTAL_UOPS: usize = 1 << 24;
+
+/// The capacity rule every frontend structure's `check` shares: at most
+/// [`MAX_TOTAL_UOPS`].
+///
+/// # Errors
+///
+/// Returns a message naming the ceiling when `total_uops` exceeds it.
+pub fn check_capacity(total_uops: usize) -> Result<(), String> {
+    if total_uops > MAX_TOTAL_UOPS {
+        return Err(format!(
+            "capacity of {total_uops} uops exceeds the {MAX_TOTAL_UOPS}-uop ceiling"
+        ));
+    }
+    Ok(())
+}

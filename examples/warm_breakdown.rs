@@ -7,12 +7,14 @@
 //! ```
 //!
 //! The daemon's connection thread probes the grid serially (result key,
-//! store read, row decode), then encodes the row lines and writes them;
-//! the client decodes each line. Each stage is timed over the whole
-//! grid, the best of ROUNDS (default 9) rounds, and printed in µs per
-//! row. The JSON-tree decode (`Json::parse` + `Row::from_json`) and
-//! one write per row are printed beside the paths the daemon and the
-//! client use, for comparison.
+//! then its memory tier: one `stat` of the entry and a lookup, or on a
+//! miss a store read and row decode), then encodes the row lines and
+//! writes them; the client decodes each line. Each stage is timed over
+//! the whole grid, the best of ROUNDS (default 9) rounds, and printed in
+//! µs per row. The memory-tier probe is printed beside the store read
+//! and decode it replaces, and the JSON-tree decode (`Json::parse` +
+//! `Row::from_json`) and one write per row beside the paths the daemon
+//! and the client use, for comparison.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -20,9 +22,10 @@ use std::time::Instant;
 
 use xbc_frontend::FrontendMetrics;
 use xbc_serve::protocol::{parse_row_line, push_row_line};
+use xbc_serve::{Probe, RowTier};
 use xbc_sim::json::Json;
 use xbc_sim::{result_key, rows_from_json, to_json, FrontendSpec, Row};
-use xbc_store::Store;
+use xbc_store::{Store, SETTLE};
 use xbc_workload::standard_traces;
 
 const INSTS: usize = 300_000;
@@ -97,6 +100,25 @@ fn main() {
     let decode = best(rounds, n, || {
         rows = bodies.iter().map(|b| rows_from_json(b).expect("row").remove(0)).collect();
     });
+    // Entries are remembered only once they are older than SETTLE.
+    std::thread::sleep(SETTLE);
+    let tier = RowTier::new();
+    for k in &keys {
+        tier.probe(&store, k);
+    }
+    let stat = best(rounds, n, || {
+        for k in &keys {
+            std::hint::black_box(store.result_identity(k).expect("entry"));
+        }
+    });
+    let memory = best(rounds, n, || {
+        for k in &keys {
+            match tier.probe(&store, k) {
+                Probe::Memory(row) => std::hint::black_box(row),
+                other => panic!("expected a memory hit, got {other:?}"),
+            };
+        }
+    });
     let decode_tree = best(rounds, n, || {
         for b in &bodies {
             let j = Json::parse(b).expect("row");
@@ -133,6 +155,11 @@ fn main() {
     println!("  probe: result key                {key:>7.2}");
     println!("  probe: store read                {read:>7.2}");
     println!("  probe: row decode (tokens)       {decode:>7.2}   tree: {decode_tree:.2}");
+    println!(
+        "  probe: memory tier               {memory:>7.2}   (stat alone: {stat:.2}; \
+         replaces read + decode: {:.2})",
+        read + decode
+    );
     println!("  encode row line                  {encode:>7.2}");
     println!(
         "  write (16 KiB batches)           {write_batched:>7.2}   per row: {write_per_row:.2}"

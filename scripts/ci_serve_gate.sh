@@ -5,6 +5,11 @@
 #   1. warm gate: a one-shot cached `xbcsim sweep` fixes the expected
 #      row bytes, then two concurrent clients submit the same grid and
 #      must get byte-identical rows with zero simulations and captures;
+#      then, with the daemon still warm, one result file is deleted: the
+#      next submit must simulate exactly that cell (its rows equal the
+#      one-shot rows once elapsed_ms is stripped), and the one after it
+#      must simulate nothing — the daemon's memory tier never serves a
+#      row whose entry is gone;
 #   2. cold-dedup gate: on a FRESH cache two concurrent clients submit
 #      the same cold grid; `simulated_cells` summed across their bench
 #      reports must equal the number of distinct cells — single-flight
@@ -89,6 +94,29 @@ run_gate() { # TRANSPORT
     done
   done
 
+  # ── Forgotten row: delete one result file under the warm daemon ────
+  FORGOTTEN=$(find "$CACHE/results" -name '*.xbr' | sort | head -n 1)
+  rm -f "$FORGOTTEN"
+  grep -v '"elapsed_ms"' "results/ci_serve_oneshot_$T.json" > "results/ci_serve_oneshot_$T.cmp"
+  for pass in resim again; do
+    # shellcheck disable=SC2046
+    "$B/xbcsim" submit $(submit_args "$T") "${GRID[@]}" \
+      --json "results/ci_serve_${pass}_rows_$T.json" \
+      --bench-json "results/ci_serve_${pass}_bench_$T.json" > /dev/null 2> /dev/null
+    grep -v '"elapsed_ms"' "results/ci_serve_${pass}_rows_$T.json" \
+      > "results/ci_serve_${pass}_rows_$T.cmp"
+    if ! cmp "results/ci_serve_oneshot_$T.cmp" "results/ci_serve_${pass}_rows_$T.cmp"; then
+      echo "FAIL($T): rows after deleting $FORGOTTEN ($pass) differ from the one-shot sweep" >&2
+      exit 1
+    fi
+    if [ "$pass" = resim ]; then want='"simulated_cells": 1'; else want='"simulated_cells": 0'; fi
+    if ! grep -q "$want" "results/ci_serve_${pass}_bench_$T.json"; then
+      echo "FAIL($T): submit after deleting one result file ($pass) missing $want:" >&2
+      cat "results/ci_serve_${pass}_bench_$T.json" >&2
+      exit 1
+    fi
+  done
+
   # ── Cold-dedup gate: fresh cache, two racing clients ───────────────
   # shellcheck disable=SC2046
   "$B/xbcsim" submit $(submit_args "$T") --shutdown on > /dev/null
@@ -149,7 +177,7 @@ run_gate() { # TRANSPORT
     echo "FAIL: daemon left its socket behind: $SOCK" >&2
     exit 1
   fi
-  echo "OK($T): warm byte-identity + cold dedup ($SIMULATED/$DISTINCT_CELLS simulated once) over $T"
+  echo "OK($T): warm byte-identity + forgotten row re-simulated once + cold dedup ($SIMULATED/$DISTINCT_CELLS simulated once) over $T"
 }
 
 run_gate unix

@@ -1,11 +1,14 @@
 //! Daemon guards against requests and clients that could wedge it: a
-//! frontend geometry the simulator cannot build is refused when the
-//! request is parsed (it used to panic a worker and leave the client
-//! waiting forever), and a client that stops reading is dropped once
-//! `ServeConfig::write_timeout` expires, its queued cells cancelled,
-//! while the daemon goes on serving others. The daemon writes ready
-//! rows together; the fault seam's row faults must still act at their
-//! row, after the rows before it went out.
+//! frontend geometry the simulator cannot build, or too large to size,
+//! is refused when the request is parsed (it used to panic a worker and
+//! leave the client waiting forever); a panic inside a cell fails its
+//! request with an `error` line and hands the cells waiting on it back
+//! to the queue; a request line nested deeper than the JSON reader
+//! allows is an `error` line, not a stack overflow; and a client that
+//! stops reading is dropped once `ServeConfig::write_timeout` expires,
+//! its queued cells cancelled, while the daemon goes on serving others.
+//! The daemon writes ready rows together; the fault seam's row faults
+//! must still act at their row, after the rows before it went out.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -114,6 +117,9 @@ fn unbuildable_geometries_are_refused_and_one_worker_keeps_serving() {
         FrontendSpec::Tc { total_uops: 0, ways: 4 },
         FrontendSpec::UopCache { total_uops: 0 },
         FrontendSpec::Bbtc { total_uops: 0 },
+        // A multiple of every set size, but far too large to allocate.
+        FrontendSpec::Xbc { total_uops: 1 << 62, ways: 2, promotion: true },
+        FrontendSpec::Tc { total_uops: (xbc_uarch::MAX_TOTAL_UOPS + 1) * 4, ways: 4 },
     ];
     for (i, spec) in bad.into_iter().enumerate() {
         let err = submit_within(&endpoint, req(&["spec.gcc"], vec![FrontendSpec::Ic, spec], 2_000))
@@ -127,6 +133,79 @@ fn unbuildable_geometries_are_refused_and_one_worker_keeps_serving() {
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.bench.simulated_cells, 1);
     }
+
+    shutdown(&endpoint).unwrap();
+    daemon.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_panic_in_a_cell_fails_its_request_and_requeues_the_cells_waiting_on_it() {
+    let dir = scratch_dir("panic");
+    let endpoint = Endpoint::unix(dir.join("d.sock"));
+    let faults = Arc::new(FaultInjector::new());
+    let mut config = ServeConfig::new(endpoint.clone());
+    config.threads = 2;
+    config.faults = Some(Arc::clone(&faults));
+    let daemon = thread::spawn(move || xbc_serve::serve(&config));
+    wait_until_live(&endpoint);
+
+    // Two clients want the same cold cell. Whichever leads it panics
+    // after its simulation; the other's cell waits on that flight and
+    // goes back to the queue, to be led again.
+    faults.panic_next_cells(1);
+    let fe = FrontendSpec::Xbc { total_uops: 4096, ways: 2, promotion: true };
+    let cell = req(&["spec.gcc"], vec![fe], 200_000);
+    let (a, b) = thread::scope(|s| {
+        let a = s.spawn(|| submit_within(&endpoint, cell.clone()));
+        let b = s.spawn(|| submit_within(&endpoint, cell.clone()));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let (failed, served) = match (a, b) {
+        (Err(e), Ok(out)) | (Ok(out), Err(e)) => (e, out),
+        other => panic!("exactly one request fails: {other:?}"),
+    };
+    assert!(failed.contains("panicked") && failed.contains("injected"), "{failed}");
+    assert_eq!(served.rows.len(), 1);
+    assert_eq!(served.bench.simulated_cells, 1, "the waiting cell was led again");
+    assert!(served.sched.unwrap().retried_cells >= 1, "and it went through the queue");
+
+    // Both workers are still alive.
+    let two = req(&["spec.gcc", "games.quake"], vec![fe], 2_000);
+    let out = submit_within(&endpoint, two).expect("a cold grid after the panic");
+    assert_eq!(out.bench.simulated_cells, 2);
+
+    shutdown(&endpoint).unwrap();
+    daemon.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_deeply_nested_request_line_is_an_error_not_a_crash() {
+    let dir = scratch_dir("nesting");
+    let socket = dir.join("d.sock");
+    let endpoint = Endpoint::unix(&socket);
+    let config = ServeConfig::new(endpoint.clone());
+    let daemon = thread::spawn(move || xbc_serve::serve(&config));
+    wait_until_live(&endpoint);
+
+    // 200,000 open brackets: well under the request-line cap, and far
+    // deeper than a connection thread's stack could recurse.
+    let mut conn = UnixStream::connect(&socket).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // hello
+    writeln!(conn, "{}", "[".repeat(200_000)).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("{\"type\":\"error\"") && line.contains("nesting"), "{line}");
+    // The connection and the daemon both live on.
+    writeln!(conn, "{{\"type\":\"ping\"}}").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("pong"), "{line}");
+    ping(&endpoint).expect("the daemon still answers");
 
     shutdown(&endpoint).unwrap();
     daemon.join().unwrap().unwrap();
