@@ -76,7 +76,7 @@ fn main() {
     let spec = &args.traces[0];
     let trace = match args.open_store() {
         Some(store) => store.get_or_capture(spec, args.insts.min(200_000)),
-        None => spec.capture(args.insts.min(200_000)),
+        None => std::sync::Arc::new(spec.capture(args.insts.min(200_000))),
     };
     let mut fe = XbcFrontend::new(XbcConfig::default());
     fe.run(&trace);

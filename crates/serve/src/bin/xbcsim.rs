@@ -4,8 +4,8 @@
 //! xbcsim list
 //! xbcsim run   --frontend xbc --size 32768 --trace spec.gcc --inst 500000 [--stream on] [--trace-events ev.jsonl]
 //! xbcsim run   --frontend tc  --from trace.xbt --stream on
-//! xbcsim sweep --frontends tc,xbc --sizes 8192,32768 --inst 200000 [--traces a,b] [--json out.json] [--bench-json BENCH_sweep.json] [--threads N] [--cache DIR|off] [--stream-capture on|off] [--trace-events ev.jsonl]
-//! xbcsim serve --socket target/xbcsim.sock [--threads N] [--cache DIR|off] [--conn-cap N] [--idle-timeout-ms N] [--stream-capture on|off]
+//! xbcsim sweep --frontends tc,xbc --sizes 8192,32768 --inst 200000 [--traces a,b] [--json out.json] [--bench-json BENCH_sweep.json] [--threads N] [--cache DIR|off] [--trace-events ev.jsonl]
+//! xbcsim serve --socket target/xbcsim.sock [--threads N] [--cache DIR|off] [--conn-cap N] [--idle-timeout-ms N]
 //! xbcsim serve --listen 0.0.0.0:7700 [--threads N] [--cache DIR|off]
 //! xbcsim submit --socket target/xbcsim.sock --frontends tc,xbc --sizes 8192 --inst 200000 [--priority N] [--json out.json] [--bench-json FILE]
 //! xbcsim submit --connect host:7700 --frontends tc,xbc --sizes 8192 --inst 200000
@@ -27,8 +27,8 @@ fn usage() -> ! {
     eprintln!("usage:");
     eprintln!("  xbcsim list");
     eprintln!("  xbcsim run --frontend ic|uopcache|bbtc|tc|xbc [--size N] [--check on] [--stream on] [--trace-events FILE] (--trace NAME --inst N | --from FILE)");
-    eprintln!("  xbcsim sweep [--frontends tc,xbc] [--sizes 8192,32768] [--traces a,b] [--inst N] [--json FILE] [--bench-json FILE] [--threads N] [--cache DIR|off] [--stream-capture on|off] [--check on] [--trace-events FILE]");
-    eprintln!("  xbcsim serve [--socket PATH | --listen HOST:PORT] [--threads N] [--cache DIR|off] [--conn-cap N] [--idle-timeout-ms N] [--stream-capture on|off]");
+    eprintln!("  xbcsim sweep [--frontends tc,xbc] [--sizes 8192,32768] [--traces a,b] [--inst N] [--json FILE] [--bench-json FILE] [--threads N] [--cache DIR|off] [--check on] [--trace-events FILE]");
+    eprintln!("  xbcsim serve [--socket PATH | --listen HOST:PORT] [--threads N] [--cache DIR|off] [--conn-cap N] [--idle-timeout-ms N]");
     eprintln!("  xbcsim submit [--socket PATH | --connect HOST:PORT] [--frontends tc,xbc] [--sizes 8192,32768] [--traces a,b] [--inst N] [--priority N] [--json FILE] [--bench-json FILE] [--ping on] [--shutdown on]");
     eprintln!("  xbcsim inspect --events FILE   (render an xbc-events-v1 stream)");
     eprintln!("  xbcsim capture --trace NAME --insts N --out FILE   (streamed; N may exceed 1e9)");
@@ -270,7 +270,6 @@ fn cmd_sweep(flags: &Flags) {
     let mut sweep = Sweep::new(traces, frontends, insts);
     sweep.threads = flags.get_usize("threads", 0);
     sweep.check = flags.get_bool("check", false);
-    sweep.stream_capture = flags.get_bool("stream-capture", true);
     sweep.trace_events = flags.get("trace-events").map(str::to_owned);
     if let Some(cache) = resolve_cache(flags) {
         match xbc_store::Store::open(&cache) {
@@ -311,7 +310,6 @@ fn cmd_serve(flags: &Flags) {
     config.store = store;
     config.progress = true;
     config.max_connections = flags.get_usize("conn-cap", 64);
-    config.stream_capture = flags.get_bool("stream-capture", true);
     let idle_ms = flags.get_usize("idle-timeout-ms", 0);
     config.idle_timeout = (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms as u64));
     if let Err(e) = xbc_serve::serve(&config) {

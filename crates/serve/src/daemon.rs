@@ -3,14 +3,14 @@
 //! One process holds the content-addressed [`Store`] and a fixed worker
 //! pool; clients connect over a Unix-domain or TCP socket (see
 //! [`Endpoint`]), submit sweep grids, and stream rows back as cells
-//! complete. The scheduling model is the same cell model as
-//! `xbc_sim::Sweep`: the unit of work is one (trace × frontend) cell,
-//! cells from *all* concurrent requests drain through one shared
-//! [`Scheduler`] (priority classes, round-robin across clients within a
-//! class), each request's rows are reassembled in deterministic
-//! trace-major order, and `elapsed_ms` is apportioned with the same
-//! [`capture_share`] arithmetic — so a daemon-simulated row is
-//! indistinguishable from a `Sweep`-simulated one.
+//! complete. The daemon and `xbc_sim::Sweep` share one cell path: the
+//! unit of work is one (trace × frontend) cell, cells from *all*
+//! concurrent requests drain through one shared [`Scheduler`] (priority
+//! classes, round-robin across clients within a class), each request's
+//! rows are reassembled in deterministic trace-major order, and every
+//! missing cell is planned, simulated and accounted by `xbc_sim`'s
+//! cold-cell step ([`plan_cells`], [`ColdRun`]) — so a daemon-simulated
+//! row is indistinguishable from a `Sweep`-simulated one.
 //!
 //! **Memory tier.** Every cached row the daemon reads from its store is
 //! kept decoded in a bounded [`RowTier`], and served from there while
@@ -32,23 +32,17 @@
 //! overwritten) just because two clients raced. Shared rows are counted
 //! as `deduped_cells`, keeping the accounting identity: summed over
 //! concurrent clients, `simulated_cells` equals the number of *distinct*
-//! cold cells. Trace capture dedups through the store's own flights
-//! ([`Store::get_or_capture_shared`]).
+//! cold cells. Trace capture dedups through the store's streamed-capture
+//! flights ([`Store::stream_capture_shared`]).
 //!
-//! Replay is streaming-first: a cell whose trace is already stored
-//! replays through `xbc_sim::replay_stored` ([`Store::replay_trace_stream`]
-//! and `Frontend::run_streamed`), keeping worker memory O(window) and
-//! publishing its row only once the entry passed its verdict. The first
-//! cell of a not-yet-captured trace *overlaps* capture with its own
-//! simulation: the leader of [`Store::stream_capture_shared`] replays
-//! the committed-instruction stream live off a bounded channel while a
-//! capture thread encodes the same chunks to the store, so the cell's
-//! capture cost hides behind its simulation (reported as
-//! `overlapped_cells` / `overlap_ms` in the `done` trailer). With
-//! streaming capture off (or no store) the first cell captures resident
-//! (once, shared behind the store's capture flight — or the job's
-//! `OnceLock` when the daemon runs uncached) — either way the trace
-//! lands on disk, so later cells of the same trace stream it.
+//! Replay is streaming-first: with a store, a cell replays its stored
+//! trace ([`Store::replay_trace_stream`]), keeping worker memory
+//! O(window) and publishing its row only once the entry passed its
+//! verdict; the first cell of a not-yet-captured trace simulates live
+//! off the trace's streamed capture, hiding the capture behind its own
+//! simulation (reported as `overlapped_cells` / `overlap_ms` in the
+//! `done` trailer). An uncached daemon captures each trace resident,
+//! once per request.
 //!
 //! **Shutdown drains.** A `shutdown` request flips the scheduler into
 //! drain mode: new sweeps are refused, but every already-registered
@@ -66,14 +60,13 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xbc_frontend::FrontendMetrics;
 use xbc_sim::{
-    capture_share, replay_stored, resolve_threads, result_key, FrontendSpec, Row, SweepBench,
+    plan_cells, resolve_threads, result_key, Cell, ColdRun, FrontendSpec, Row, SweepBench,
 };
-use xbc_store::{CaptureOutcome, Store, StreamCapture, StreamReplay};
-use xbc_workload::{standard_traces, Trace, TraceSpec};
+use xbc_store::Store;
+use xbc_workload::{standard_traces, TraceSpec};
 
 #[cfg(feature = "check")]
 use crate::faults::{FaultInjector, RowFault};
@@ -117,10 +110,6 @@ pub struct ServeConfig {
     /// Per-connection send timeout, bounding how long a stalled client
     /// can pin a connection thread mid-row (`None` = block forever).
     pub write_timeout: Option<Duration>,
-    /// Overlap cold-trace capture with the leading cell's simulation
-    /// via [`Store::stream_capture_shared`] (default on; no effect
-    /// without a store).
-    pub stream_capture: bool,
     /// Fault-injection triggers for this daemon (tests only; the hooks
     /// compile only under the `check` feature).
     #[cfg(feature = "check")]
@@ -139,31 +128,10 @@ impl ServeConfig {
             max_connections: 64,
             idle_timeout: None,
             write_timeout: None,
-            stream_capture: true,
             #[cfg(feature = "check")]
             faults: None,
         }
     }
-}
-
-/// One (trace, frontend) cell of a request, with its rank among the
-/// trace's missing cells (for the deterministic capture-cost share).
-struct Cell {
-    trace: usize,
-    fe: usize,
-    rank: usize,
-    missing: usize,
-}
-
-/// How a job resolved a cold trace, shared by the trace's cells.
-enum TraceHandle {
-    /// Captured resident (uncached daemon, streaming off, or an
-    /// eviction race), with its capture wall time — later cells of the
-    /// trace simulate from memory and take a `capture_share`.
-    Resident(Arc<Trace>, u64),
-    /// The trace landed on disk (overlapped streamed capture, or
-    /// another request's flight) — later cells of the trace stream it.
-    OnDisk,
 }
 
 /// One submitted sweep: the grid, its pending cells, and the slots its
@@ -175,10 +143,10 @@ struct Job {
     frontends: Vec<FrontendSpec>,
     insts: usize,
     cells: Vec<Cell>,
-    /// Per-trace cold-path resolution, shared by the trace's cells
-    /// within this job. (With a store, the store's capture and
-    /// streamed-capture flights share across jobs too.)
-    shared_traces: Vec<OnceLock<TraceHandle>>,
+    /// The job's cold-cell state: resident captures (uncached daemon)
+    /// and the ledger its `done` trailer reports. (With a store, the
+    /// store's streamed-capture flights share captures across jobs.)
+    cold: ColdRun,
     /// The full grid; workers fill cells, the connection thread takes
     /// them in trace-major order as the filled prefix grows.
     rows: Mutex<Vec<Option<Row>>>,
@@ -187,18 +155,9 @@ struct Job {
     /// died twice in a cell); the connection thread reports it as an
     /// `error` line.
     failed: Mutex<Option<String>>,
-    captures: AtomicU64,
-    capture_ms: AtomicU64,
-    sim_ms: AtomicU64,
-    /// Cells replayed via the streaming path (O(window) memory).
-    streamed_cells: AtomicU64,
     /// Cells resolved by sharing another request's in-flight simulation
     /// or a late result-cache hit.
     deduped_cells: AtomicU64,
-    /// Cold cells whose capture ran overlapped with their own replay.
-    overlapped_cells: AtomicU64,
-    /// Capture milliseconds hidden behind simulation on those cells.
-    overlap_ms: AtomicU64,
 }
 
 impl Job {
@@ -216,7 +175,7 @@ impl Job {
         Job {
             client,
             priority,
-            shared_traces: (0..traces.len()).map(|_| OnceLock::new()).collect(),
+            cold: ColdRun::new(traces.len()),
             traces,
             frontends,
             insts,
@@ -224,13 +183,7 @@ impl Job {
             rows: Mutex::new(rows),
             row_cv: Condvar::new(),
             failed: Mutex::new(None),
-            captures: AtomicU64::new(0),
-            capture_ms: AtomicU64::new(0),
-            sim_ms: AtomicU64::new(0),
-            streamed_cells: AtomicU64::new(0),
             deduped_cells: AtomicU64::new(0),
-            overlapped_cells: AtomicU64::new(0),
-            overlap_ms: AtomicU64::new(0),
         }
     }
 
@@ -258,7 +211,6 @@ struct Shared {
     progress: bool,
     max_connections: usize,
     idle_timeout: Option<Duration>,
-    stream_capture: bool,
     sched: Scheduler<Arc<Job>>,
     /// Daemon-wide in-flight table keyed by `result_key` content hash:
     /// the single-flight dedup for concurrently requested cells.
@@ -353,160 +305,6 @@ fn deliver(sched: &Scheduler<Arc<Job>>, job: &Job, ci: usize, row: Row, source: 
     job.row_cv.notify_all();
 }
 
-/// The row of a cell replayed from the store and verified, with the
-/// job's counters bumped for it.
-fn stored_row(
-    job: &Job,
-    spec: &TraceSpec,
-    fespec: &FrontendSpec,
-    (m, open_ms, sim_ms): (FrontendMetrics, u64, u64),
-) -> Row {
-    job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
-    job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-    job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-    let mut row = Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
-    // The stream open is this cell's own trace cost (streamed cells
-    // share nothing), analogous to a capture share of 1.
-    row.elapsed_ms = open_ms + sim_ms;
-    row
-}
-
-/// Simulates one cell: streaming replay when the trace is already
-/// stored, otherwise the shared resident capture — mirroring `Sweep`'s
-/// phase 3 exactly (same `result_key`, same `capture_share` arithmetic,
-/// same result-cache write), so served rows match swept rows.
-fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
-    let cell = &job.cells[ci];
-    let spec = &job.traces[cell.trace];
-    let fespec = &job.frontends[cell.fe];
-    let streamed = shared.store.as_ref().map(|store| replay_stored(store, spec, fespec, job.insts));
-    match streamed {
-        Some(StreamReplay::Verified(replayed)) => stored_row(job, spec, fespec, replayed),
-        _ => {
-            // Cold trace (or its entry just failed its verdict and was
-            // evicted). The first cell to arrive resolves it for the
-            // job: with streaming capture it leads an overlapped
-            // capture+replay (simulating live off the capture channel,
-            // smuggling its finished row out through `leader_row`);
-            // otherwise it captures resident. Later cells of the trace
-            // see the resolution through the `OnceLock`.
-            let mut leader_row: Option<Row> = None;
-            let handle = job.shared_traces[cell.trace].get_or_init(|| {
-                if shared.stream_capture {
-                    if let Some(store) = &shared.store {
-                        match store.stream_capture_shared(spec, job.insts) {
-                            StreamCapture::Leader(mut cap) => {
-                                let t0 = Instant::now();
-                                let mut src = cap.take_source();
-                                let m = fespec.instantiate().run_streamed(&mut src);
-                                let cap_ms = cap.finish();
-                                let wall = t0.elapsed().as_millis() as u64;
-                                job.captures.fetch_add(1, Ordering::Relaxed);
-                                job.capture_ms.fetch_add(cap_ms, Ordering::Relaxed);
-                                // Attribute `cap_ms` of the cell's wall
-                                // to capture and the rest to simulation
-                                // — the two sum to the wall time, no
-                                // double-counting.
-                                job.sim_ms
-                                    .fetch_add(wall.saturating_sub(cap_ms), Ordering::Relaxed);
-                                job.overlap_ms.fetch_add(cap_ms.min(wall), Ordering::Relaxed);
-                                job.overlapped_cells.fetch_add(1, Ordering::Relaxed);
-                                job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-                                let mut row = Row::new(
-                                    spec.name,
-                                    &spec.suite.to_string(),
-                                    *fespec,
-                                    job.insts,
-                                    &m,
-                                );
-                                row.elapsed_ms = wall;
-                                leader_row = Some(row);
-                                return TraceHandle::OnDisk;
-                            }
-                            // Raced onto disk, or joined another
-                            // request's streamed capture — either way
-                            // the trace is (about to be) stored and
-                            // that flight's leader counted the capture.
-                            StreamCapture::CacheHit | StreamCapture::Joined => {
-                                return TraceHandle::OnDisk;
-                            }
-                        }
-                    }
-                }
-                let c0 = Instant::now();
-                let t = match &shared.store {
-                    Some(store) => {
-                        let (t, outcome) = store.get_or_capture_shared(spec, job.insts);
-                        // A joiner shared another request's capture;
-                        // only the side that did the work (or the
-                        // store load) counts it.
-                        if !matches!(outcome, CaptureOutcome::Joined) {
-                            job.captures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        t
-                    }
-                    None => {
-                        job.captures.fetch_add(1, Ordering::Relaxed);
-                        Arc::new(spec.capture(job.insts))
-                    }
-                };
-                let ms = c0.elapsed().as_millis() as u64;
-                job.capture_ms.fetch_add(ms, Ordering::Relaxed);
-                TraceHandle::Resident(t, ms)
-            });
-            if let Some(row) = leader_row {
-                return row;
-            }
-            match handle {
-                TraceHandle::Resident(trace, cap_ms) => {
-                    let sim0 = Instant::now();
-                    let m = fespec.instantiate().run(trace);
-                    let sim_ms = sim0.elapsed().as_millis() as u64;
-                    job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                    let mut row =
-                        Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
-                    row.elapsed_ms = capture_share(*cap_ms, cell.missing, cell.rank) + sim_ms;
-                    row
-                }
-                TraceHandle::OnDisk => {
-                    let store = shared.store.as_ref().expect("OnDisk handle implies a store");
-                    match replay_stored(store, spec, fespec, job.insts) {
-                        StreamReplay::Verified(replayed) => stored_row(job, spec, fespec, replayed),
-                        StreamReplay::Miss | StreamReplay::Corrupt => {
-                            // The entry was evicted between the leader
-                            // landing it and this cell streaming it, or
-                            // failed its verdict just now — fall back to
-                            // the shared resident capture, on a fresh
-                            // frontend.
-                            let c0 = Instant::now();
-                            let (trace, outcome) = store.get_or_capture_shared(spec, job.insts);
-                            if !matches!(outcome, CaptureOutcome::Joined) {
-                                job.captures.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let cap_ms = c0.elapsed().as_millis() as u64;
-                            job.capture_ms.fetch_add(cap_ms, Ordering::Relaxed);
-                            let sim0 = Instant::now();
-                            let m = fespec.instantiate().run(&trace);
-                            let sim_ms = sim0.elapsed().as_millis() as u64;
-                            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                            let mut row = Row::new(
-                                spec.name,
-                                &spec.suite.to_string(),
-                                *fespec,
-                                job.insts,
-                                &m,
-                            );
-                            row.elapsed_ms =
-                                capture_share(cap_ms, cell.missing, cell.rank) + sim_ms;
-                            row
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Resolves one dispatched cell: lead its simulation, or leave it
 /// waiting on the one already running. A panic while leading fails the
 /// cell's request with an `error` line; the cells waiting on it go back
@@ -546,7 +344,9 @@ fn lead_cell(shared: &Shared, job: &Job, ci: usize, key: &str) -> (Row, CellSour
     if let Probe::Memory(row) | Probe::Disk(row) = shared.probe(key) {
         return (row, CellSource::Deduped);
     }
-    let row = simulate_cell(shared, job, ci);
+    let cell = &job.cells[ci];
+    let (spec, fespec) = (&job.traces[cell.trace], &job.frontends[cell.fe]);
+    let row = job.cold.simulate(shared.store.as_ref(), spec, fespec, job.insts, cell);
     #[cfg(feature = "check")]
     if shared.faults.as_ref().is_some_and(|f| f.take_cell_panic()) {
         panic!("injected cell panic");
@@ -703,16 +503,12 @@ fn stream_rows(
         // sums to the number of distinct cold cells.
         simulated_cells: job.cells.len() - deduped,
         deduped_cells: deduped,
-        captures: job.captures.load(Ordering::Relaxed),
-        capture_ms: job.capture_ms.load(Ordering::Relaxed),
-        sim_ms: job.sim_ms.load(Ordering::Relaxed),
-        overlapped_cells: job.overlapped_cells.load(Ordering::Relaxed) as usize,
-        overlap_ms: job.overlap_ms.load(Ordering::Relaxed),
         wall_ms: wall0.elapsed().as_millis() as u64,
         // The pool is daemon-global, not per-request: per-worker stats
         // are not attributable to one request, so the trailer's worker
         // list is empty by design.
         workers: Vec::new(),
+        ..job.cold.bench()
     };
     let delta = stats0.map(|before| {
         protocol::stats_delta(
@@ -744,7 +540,7 @@ fn stream_rows(
             memory_cells,
             bench.simulated_cells,
             deduped,
-            job.streamed_cells.load(Ordering::Relaxed),
+            job.cold.streamed_cells(),
             bench.overlapped_cells,
             bench.wall_ms,
             sched.queue_depth,
@@ -786,9 +582,7 @@ fn handle_sweep(
     let n_cells = specs.len() * n_fe;
     let mut rows: Vec<Option<Row>> = vec![None; n_cells];
 
-    // Probe the result cache — the memory tier, then the store, with
-    // the same eviction of undecodable entries as `Sweep::run_with_bench`
-    // phase 1.
+    // Probe the result cache: the memory tier, then the store.
     let mut memory_cells = 0;
     if shared.store.is_some() {
         for (ti, spec) in specs.iter().enumerate() {
@@ -805,20 +599,7 @@ fn handle_sweep(
         }
     }
 
-    // Plan the missing cells trace-major (phase 2: deterministic ranks).
-    let mut cells: Vec<Cell> = Vec::new();
-    for ti in 0..specs.len() {
-        let start = cells.len();
-        for fi in 0..n_fe {
-            if rows[ti * n_fe + fi].is_none() {
-                cells.push(Cell { trace: ti, fe: fi, rank: cells.len() - start, missing: 0 });
-            }
-        }
-        let missing = cells.len() - start;
-        for c in &mut cells[start..] {
-            c.missing = missing;
-        }
-    }
+    let cells = plan_cells(&rows, n_fe);
     let cached_cells = n_cells - cells.len();
 
     let job =
@@ -968,7 +749,6 @@ impl Server {
             progress: config.progress,
             max_connections: config.max_connections.max(1),
             idle_timeout: config.idle_timeout,
-            stream_capture: config.stream_capture,
             sched: Scheduler::new(),
             flights: CellFlights::default(),
             tier: RowTier::new(),
@@ -1059,6 +839,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbc_frontend::FrontendMetrics;
     use xbc_workload::standard_traces;
 
     /// A one-cell job of `client`, its cell missing.

@@ -23,9 +23,10 @@
 //! Replay inside the daemon is *streaming-first*: a cell whose trace is
 //! already in the store replays it through the bounded-window oracle
 //! (`Frontend::run_streamed`), so daemon memory stays O(window) per
-//! worker however long the traces are. Cells whose trace is not yet
-//! captured fall back to one shared resident capture per trace — which
-//! also lands the trace in the store, so every later cell streams.
+//! worker however long the traces are. The first cell of a trace not yet
+//! captured simulates live off the trace's streamed capture into the
+//! store, so every later cell streams. The cell path is `xbc_sim`'s
+//! cold-cell step, the one `xbc_sim::Sweep` runs.
 //!
 //! Rows served for a warm store are **byte-identical** to a one-shot
 //! `xbcsim sweep` of the same grid: cached rows are replayed verbatim

@@ -15,14 +15,19 @@
 //! The check is per entry, never per directory: a directory's mtime does
 //! not move when a file in it is rewritten in place, so a directory
 //! check would keep serving a row whose entry was corrupted.
+//!
+//! A full tier takes no new keys but keeps refreshing the ones it holds,
+//! so a grid larger than the tier still serves the rows that fit from
+//! memory when it is repeated, instead of cycling through the tier and
+//! hitting none.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Mutex;
-use xbc_sim::{rows_from_json, Row};
+use xbc_sim::{cached_row, Row};
 use xbc_store::{EntryIdentity, Store};
 
 /// Most rows the tier holds. A decoded row is a few hundred bytes, so a
-/// full tier is a few MB; past the cap the oldest row is dropped.
+/// full tier is a few MB; past the cap new keys are not remembered.
 pub const TIER_ROWS: usize = 16_384;
 
 /// Where [`RowTier::probe`] found a cell's row.
@@ -36,18 +41,11 @@ pub enum Probe {
     Miss,
 }
 
-#[derive(Default)]
-struct Rows {
-    by_key: HashMap<String, (EntryIdentity, Row)>,
-    /// Keys in first-insertion order; the front is evicted first.
-    order: VecDeque<String>,
-}
-
 /// Decoded rows keyed by `result_key`, each with the identity of the
 /// entry it was read from, at most [`TIER_ROWS`] of them.
 #[derive(Default)]
 pub struct RowTier {
-    rows: Mutex<Rows>,
+    rows: Mutex<HashMap<String, (EntryIdentity, Row)>>,
 }
 
 impl RowTier {
@@ -58,12 +56,12 @@ impl RowTier {
 
     /// The row cached under `key`: from memory when the entry is
     /// unchanged since the tier read it, else from `store` (remembering
-    /// it), evicting an entry that holds no single decodable row — the
-    /// same eviction as `xbc_sim::Sweep`'s probe.
+    /// it), evicting an entry that holds no single decodable row
+    /// ([`cached_row`], the sweep's probe too).
     pub fn probe(&self, store: &Store, key: &str) -> Probe {
         if let Some(now) = store.result_identity(key) {
             let rows = self.rows.lock().expect("tier lock");
-            if let Some((id, row)) = rows.by_key.get(key) {
+            if let Some((id, row)) = rows.get(key) {
                 if *id == now {
                     return Probe::Memory(row.clone());
                 }
@@ -72,46 +70,30 @@ impl RowTier {
         let Some((body, identity)) = store.load_result_entry(key) else {
             return Probe::Miss;
         };
-        match rows_from_json(&body) {
-            Ok(mut parsed) if parsed.len() == 1 => {
-                let row = parsed.pop().expect("one row");
-                if let Some(id) = identity {
-                    self.remember(key, id, &row);
-                }
-                Probe::Disk(row)
-            }
-            Ok(parsed) => {
-                let why = format!("expected 1 cached row, found {}", parsed.len());
-                store.evict_result(key, &why);
-                Probe::Miss
-            }
-            Err(e) => {
-                store.evict_result(key, &format!("undecodable cached row: {e}"));
-                Probe::Miss
-            }
+        let Some(row) = cached_row(store, key, &body) else {
+            return Probe::Miss;
+        };
+        if let Some(id) = identity {
+            self.remember(key, id, &row);
         }
+        Probe::Disk(row)
     }
 
     /// Rows held now.
     pub(crate) fn len(&self) -> usize {
-        self.rows.lock().expect("tier lock").by_key.len()
+        self.rows.lock().expect("tier lock").len()
     }
 
-    /// Records `row` as read from the entry with identity `id`. A stale
-    /// row under the same key is replaced in place; it could never have
-    /// matched again, since every later change to an entry moves its
-    /// identity.
+    /// Records `row` as read from the entry with identity `id`, unless
+    /// the tier is full. A stale row under the same key is replaced in
+    /// place, full or not; it could never have matched again, since
+    /// every later change to an entry moves its identity.
     fn remember(&self, key: &str, id: EntryIdentity, row: &Row) {
         let mut rows = self.rows.lock().expect("tier lock");
-        if let Some(slot) = rows.by_key.get_mut(key) {
+        if let Some(slot) = rows.get_mut(key) {
             *slot = (id, row.clone());
-            return;
+        } else if rows.len() < TIER_ROWS {
+            rows.insert(key.to_owned(), (id, row.clone()));
         }
-        if rows.by_key.len() == TIER_ROWS {
-            let oldest = rows.order.pop_front().expect("order holds every key");
-            rows.by_key.remove(&oldest);
-        }
-        rows.order.push_back(key.to_owned());
-        rows.by_key.insert(key.to_owned(), (id, row.clone()));
     }
 }

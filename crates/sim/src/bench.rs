@@ -43,15 +43,19 @@ pub struct SweepBench {
     /// Always 0 for a one-shot `Sweep`; the `xbc-serve` daemon's
     /// cross-request single-flight dedup reports here.
     pub deduped_cells: usize,
-    /// Traces captured (or loaded from the trace store) this run.
+    /// Traces captured this run (or, for a resident replay, loaded
+    /// from the trace store).
     pub captures: u64,
-    /// Capture wall time, summed over captured traces.
+    /// Trace cost in wall time: each capture (an overlapped capture
+    /// only up to its cell's wall time) plus each stored replay's
+    /// stream open. With `sim_ms` it sums to the simulated rows'
+    /// `elapsed_ms`.
     pub capture_ms: u64,
     /// Simulation wall time, summed over simulated cells.
     pub sim_ms: u64,
     /// Cold cells whose capture ran overlapped with their own
     /// simulation (streamed capture feeding the replay live). Always 0
-    /// with `stream_capture` off or no store.
+    /// without a store, and in checked or traced sweeps.
     pub overlapped_cells: usize,
     /// Capture milliseconds hidden behind simulation on overlapped
     /// cells: for each such cell, the part of its capture that ran

@@ -8,6 +8,9 @@
 //!   configuration replays the identical committed path; scheduling is
 //!   cell-level, so a grid of N configurations over M traces keeps
 //!   `min(threads, N×M)` workers busy,
+//! * [`ColdRun`] / [`plan_cells`] / [`cached_row`] — the cold-cell step
+//!   the sweep and the `xbc-serve` daemon share: plan a grid's missing
+//!   cells, read a cached row, resolve and replay a missing cell,
 //! * [`SweepBench`] — per-run scheduler accounting (wall time,
 //!   capture/sim split, worker utilization), emitted via `--bench-json`,
 //! * [`Row`] / [`pivot_table`] / [`to_json`] — result collection and the
@@ -36,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod bench;
+mod cell;
 mod cli;
 mod inspect;
 mod report;
@@ -43,14 +47,14 @@ mod spec;
 mod sweep;
 
 pub use bench::{SweepBench, WorkerStat};
+pub use cell::{cached_row, plan_cells, replay_stored, Cell, ColdRun};
 pub use cli::HarnessArgs;
 pub use inspect::render_inspect;
 pub use report::{average_bandwidth, average_miss_rate, pivot_table, rows_from_json, to_json, Row};
 pub use spec::FrontendSpec;
 pub use sweep::{
-    capture_share, map_traces_parallel, replay_stored, resolve_threads, result_key, run_checked,
-    run_checked_oracle, run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep,
-    CODE_VERSION,
+    map_traces_parallel, resolve_threads, result_key, run_checked, run_checked_oracle,
+    run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep, CODE_VERSION,
 };
 /// The in-tree JSON parser (now hosted by `xbc-obs`; re-exported here
 /// for the sim-layer consumers that grew up with `xbc_sim::json`).

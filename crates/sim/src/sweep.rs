@@ -5,11 +5,10 @@
 //! `(trace, frontend)` cell pulled from a single shared queue, so a
 //! sweep of N configurations over M traces scales to `min(threads, N×M)`
 //! busy workers — not `min(threads, M)` as a trace-major scheduler
-//! would. Each trace is still captured exactly once per run: the first
-//! worker that needs it captures into an `Arc<Trace>` behind a per-trace
-//! [`OnceLock`]; workers that reach sibling cells in the meantime block
-//! on that lock and then share the capture. Row order stays
-//! deterministic (trace-major, frontend-minor) regardless of threading.
+//! would. Each trace is still captured exactly once per run: each
+//! missing cell goes through the cold-cell step of [`crate::cell`], the
+//! same one the `xbc-serve` daemon runs. Row order stays deterministic
+//! (trace-major, frontend-minor) regardless of threading.
 //!
 //! When a [`Store`] is attached ([`Sweep::with_store`]), the engine is
 //! fully cached: each (trace, frontend, insts) cell first consults the
@@ -18,14 +17,15 @@
 //! simulations — it is a pure replay of cached rows.
 
 use crate::bench::{SweepBench, WorkerStat};
-use crate::report::{rows_from_json, Row};
+use crate::cell::{cached_row, plan_cells, ColdRun};
+use crate::report::Row;
 use crate::spec::FrontendSpec;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xbc_frontend::{Frontend, FrontendMetrics, OracleStream, Reconciler};
 use xbc_obs::{jsonl, EventSink, NullSink, VecSink};
-use xbc_store::{CaptureOutcome, Store, StreamCapture, StreamReplay};
+use xbc_store::Store;
 use xbc_workload::{InstSource, Trace, TraceSpec};
 
 /// Bumped whenever simulator semantics change, so stale cached results
@@ -91,40 +91,6 @@ where
     stats.into_inner().expect("workers joined")
 }
 
-/// The capture-cost share of the `rank`-th cell (0-based) among the
-/// `missing` cells whose shared capture cost `total_ms`: every cell
-/// gets the truncated average, and the first `total_ms % missing` cells
-/// get one extra millisecond, so the shares sum to exactly `total_ms`
-/// — no remainder is dropped. Public so other schedulers over the same
-/// cell model (the `xbc-serve` daemon) apportion capture cost the same
-/// way.
-pub fn capture_share(total_ms: u64, missing: usize, rank: usize) -> u64 {
-    debug_assert!(rank < missing, "share rank out of range");
-    total_ms / missing as u64 + u64::from((rank as u64) < total_ms % missing as u64)
-}
-
-/// One unit of scheduled work: a (trace, frontend) cell that missed the
-/// result cache, plus its rank among the trace's missing cells (used to
-/// apportion the shared capture cost deterministically).
-struct Cell {
-    trace: usize,
-    fe: usize,
-    rank: usize,
-    missing: usize,
-}
-
-/// How a sweep's workers obtain one trace's committed stream after the
-/// per-trace `OnceLock` leader resolved it.
-enum TraceHandle {
-    /// Materialized in memory (uncached sweeps, checked/traced runs, or
-    /// `stream_capture` off), with the leader's capture/load cost.
-    Resident(Arc<Trace>, u64),
-    /// On disk in the store — captured streamed (possibly overlapped
-    /// with the leader's own simulation) or already cached. Sibling
-    /// cells stream it from the store; nobody holds the whole trace.
-    OnDisk,
-}
-
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Sweep {
@@ -152,14 +118,6 @@ pub struct Sweep {
     /// byte-identical regardless of `threads`. Rows are unaffected:
     /// tracing observes, it never perturbs.
     pub trace_events: Option<String>,
-    /// Capture cold traces *streamed* into the store, overlapping the
-    /// capture with the leader cell's simulation (default on; only takes
-    /// effect with a store attached, on plain runs — checked and traced
-    /// runs need the resident trace). Off restores strict
-    /// capture-then-simulate, the A/B baseline for the overlap win. Rows
-    /// are identical either way — the committed stream is byte-identical
-    /// by construction.
-    pub stream_capture: bool,
 }
 
 impl Sweep {
@@ -182,7 +140,6 @@ impl Sweep {
             progress: true,
             check: false,
             trace_events: None,
-            stream_capture: true,
         }
     }
 
@@ -225,212 +182,88 @@ impl Sweep {
             for (ti, spec) in self.traces.iter().enumerate() {
                 for (fi, fe) in self.frontends.iter().enumerate() {
                     let key = result_key(spec, fe, self.insts);
-                    let Some(body) = store.load_result(&key) else { continue };
-                    match rows_from_json(&body) {
-                        Ok(parsed) if parsed.len() == 1 => {
-                            rows[ti * n_fe + fi] = parsed.into_iter().next();
-                        }
-                        Ok(parsed) => {
-                            // CRC-valid but not a single row (e.g. written
-                            // by an older schema): evict so the stale entry
-                            // stops costing a recompute on every run.
-                            store.evict_result(
-                                &key,
-                                &format!("expected 1 cached row, found {}", parsed.len()),
-                            );
-                        }
-                        Err(e) => {
-                            store.evict_result(&key, &format!("undecodable cached row: {e}"));
-                        }
+                    if let Some(body) = store.load_result(&key) {
+                        rows[ti * n_fe + fi] = cached_row(store, &key, &body);
                     }
                 }
             }
         }
 
         // Phase 2: plan the missing cells, trace-major, so each cell's
-        // rank among its trace's misses — and therefore its share of
-        // the capture cost — is deterministic.
-        let mut cells: Vec<Cell> = Vec::new();
-        let mut trace_missing = vec![0usize; self.traces.len()];
-        for (ti, tm) in trace_missing.iter_mut().enumerate() {
-            let start = cells.len();
-            for fi in 0..n_fe {
-                if rows[ti * n_fe + fi].is_none() {
-                    cells.push(Cell { trace: ti, fe: fi, rank: cells.len() - start, missing: 0 });
+        // rank among its trace's misses — and therefore its share of a
+        // resident capture's cost — is deterministic.
+        let cells = plan_cells(&rows, n_fe);
+        let remaining: Vec<AtomicUsize> =
+            (0..self.traces.len()).map(|_| AtomicUsize::new(0)).collect();
+        for c in &cells {
+            remaining[c.trace].store(c.missing, Ordering::Relaxed);
+        }
+        if self.progress {
+            for (spec, left) in self.traces.iter().zip(&remaining) {
+                if left.load(Ordering::Relaxed) == 0 {
+                    eprintln!("[sweep] {:<18} {n_fe} cached, 0 simulated", spec.name);
                 }
-            }
-            *tm = cells.len() - start;
-            for c in &mut cells[start..] {
-                c.missing = *tm;
-            }
-            if self.progress && *tm == 0 {
-                eprintln!("[sweep] {:<18} {n_fe} cached, 0 simulated", self.traces[ti].name);
             }
         }
 
-        // Phase 3: drain the cell queue. The first cell of a trace to
-        // run resolves its committed stream behind the trace's OnceLock:
-        // with streamed capture, a cold trace is captured to the store
-        // in the background *while the leader cell simulates it live*
-        // off a bounded channel; sibling cells then stream it from disk.
-        // Otherwise the leader captures (or loads) a resident trace that
-        // siblings share by Arc. Workers then simulate independently.
+        // Phase 3: drain the cell queue through the shared cold-cell
+        // step. A checked or traced sweep observes every step, so it
+        // replays a resident trace through its own loop.
         let threads = resolve_threads(self.threads);
-        // Overlap needs the store (the capture's destination) and the
-        // plain replay loop — checked/traced runs replay resident.
-        let overlap_ok = self.stream_capture && !self.check && self.trace_events.is_none();
-        let shared: Vec<OnceLock<TraceHandle>> =
-            (0..self.traces.len()).map(|_| OnceLock::new()).collect();
+        let observed = self.check || self.trace_events.is_some();
+        let cold = ColdRun::new(self.traces.len());
         let done_rows: Mutex<Vec<(usize, Row)>> = Mutex::new(Vec::new());
         let event_sections: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let remaining: Vec<AtomicUsize> =
-            trace_missing.iter().map(|&m| AtomicUsize::new(m)).collect();
-        let trace_sim_ms: Vec<AtomicU64> =
-            (0..self.traces.len()).map(|_| AtomicU64::new(0)).collect();
-        let captures = AtomicU64::new(0);
-        let capture_ms_total = AtomicU64::new(0);
-        let sim_ms_total = AtomicU64::new(0);
-        let overlap_ms_total = AtomicU64::new(0);
-        let overlapped_cells = AtomicU64::new(0);
+        let trace_ms: Vec<AtomicU64> = (0..self.traces.len()).map(|_| AtomicU64::new(0)).collect();
         let workers = parallel_cells(cells.len(), threads, |i| {
             let cell = &cells[i];
             let spec = &self.traces[cell.trace];
             let fe = &self.frontends[cell.fe];
-            // The overlapped leader simulates its own cell *inside* the
-            // OnceLock closure (the channel exists only there); its
-            // result rides out through this slot.
-            let mut leader_sim: Option<(FrontendMetrics, u64, u64)> = None;
-            let handle = shared[cell.trace].get_or_init(|| {
-                if let Some(store) = self.store.as_ref().filter(|_| overlap_ok) {
-                    match store.stream_capture_shared(spec, self.insts) {
-                        StreamCapture::Leader(mut cap) => {
-                            // Cold cell: simulate the live stream while
-                            // the capture writes it to the store.
-                            let t0 = Instant::now();
-                            let mut src = cap.take_source();
-                            let mut frontend = fe.instantiate();
-                            let m = frontend.run_streamed(&mut src);
-                            let cap_ms = cap.finish();
-                            let wall = t0.elapsed().as_millis() as u64;
-                            captures.fetch_add(1, Ordering::Relaxed);
-                            capture_ms_total.fetch_add(cap_ms, Ordering::Relaxed);
-                            overlap_ms_total.fetch_add(cap_ms.min(wall), Ordering::Relaxed);
-                            overlapped_cells.fetch_add(1, Ordering::Relaxed);
-                            leader_sim = Some((m, wall, cap_ms));
-                            return TraceHandle::OnDisk;
-                        }
-                        // Entry already on disk (or a concurrent job
-                        // just captured it): every cell streams it, no
-                        // capture to account here.
-                        StreamCapture::CacheHit | StreamCapture::Joined => {
-                            return TraceHandle::OnDisk;
-                        }
+            let idx = cell.trace * n_fe + cell.fe;
+            let row = if observed {
+                let replay = |frontend: &mut dyn Frontend, trace: &Trace| {
+                    if self.trace_events.is_none() {
+                        return run_checked(frontend, trace, spec.name);
                     }
-                }
-                let c0 = Instant::now();
-                let t = match &self.store {
-                    Some(store) => store.get_or_capture(spec, self.insts),
-                    None => spec.capture(self.insts),
-                };
-                let ms = c0.elapsed().as_millis() as u64;
-                captures.fetch_add(1, Ordering::Relaxed);
-                capture_ms_total.fetch_add(ms, Ordering::Relaxed);
-                TraceHandle::Resident(Arc::new(t), ms)
-            });
-            let (m, elapsed_ms, cap_ms, sim_ms) = match handle {
-                TraceHandle::Resident(trace, cap_ms) => {
-                    let trace = Arc::clone(trace);
-                    let sim0 = Instant::now();
-                    let mut frontend = fe.instantiate();
-                    let m = if self.trace_events.is_some() {
-                        let mut sink = VecSink::new();
-                        let m = if self.check {
-                            run_checked_traced(&mut *frontend, &trace, spec.name, &mut sink)
-                        } else {
-                            frontend.run_traced(&trace, &mut sink)
-                        };
-                        if self.check {
-                            let folded = Reconciler::fold(sink.events.iter());
-                            assert_eq!(
-                                folded,
-                                m,
-                                "[--check] {} on {}: event stream does not reconcile to metrics",
-                                fe.label(),
-                                spec.name
-                            );
-                        }
-                        let mut section = String::new();
-                        jsonl::write_section(&mut section, &fe.label(), spec.name, &sink.events);
-                        event_sections
-                            .lock()
-                            .expect("event section lock")
-                            .push((cell.trace * n_fe + cell.fe, section));
-                        m
-                    } else if self.check {
-                        run_checked(&mut *frontend, &trace, spec.name)
+                    let mut sink = VecSink::new();
+                    let m = if self.check {
+                        run_checked_traced(frontend, trace, spec.name, &mut sink)
                     } else {
-                        frontend.run(&trace)
+                        frontend.run_traced(trace, &mut sink)
                     };
-                    let sim_ms = sim0.elapsed().as_millis() as u64;
-                    (m, capture_share(*cap_ms, cell.missing, cell.rank) + sim_ms, *cap_ms, sim_ms)
-                }
-                TraceHandle::OnDisk => {
-                    if let Some((m, wall, cap_ms)) = leader_sim.take() {
-                        // The overlapped leader: its cell's wall clock
-                        // covers capture and simulation together; the
-                        // capture share is `cap_ms` and the rest is sim,
-                        // so attributions sum to the measured wall with
-                        // no double-counting.
-                        (m, wall, cap_ms, wall.saturating_sub(cap_ms))
-                    } else {
-                        let store = self.store.as_ref().expect("on-disk handle implies a store");
-                        match replay_stored(store, spec, fe, self.insts) {
-                            StreamReplay::Verified((m, open_ms, sim_ms)) => {
-                                (m, open_ms + sim_ms, 0, sim_ms)
-                            }
-                            StreamReplay::Miss | StreamReplay::Corrupt => {
-                                // Eviction race (the entry vanished
-                                // between the leader's capture and this
-                                // replay), or the entry failed its
-                                // verdict and was evicted just now.
-                                // Regenerate resident on a fresh frontend.
-                                let c0 = Instant::now();
-                                let (trace, outcome) =
-                                    store.get_or_capture_shared(spec, self.insts);
-                                let cap_ms = c0.elapsed().as_millis() as u64;
-                                if matches!(outcome, CaptureOutcome::Captured) {
-                                    captures.fetch_add(1, Ordering::Relaxed);
-                                    capture_ms_total.fetch_add(cap_ms, Ordering::Relaxed);
-                                }
-                                let sim0 = Instant::now();
-                                let mut frontend = fe.instantiate();
-                                let m = frontend.run(&trace);
-                                let sim_ms = sim0.elapsed().as_millis() as u64;
-                                (m, cap_ms + sim_ms, cap_ms, sim_ms)
-                            }
-                        }
+                    if self.check {
+                        assert_eq!(
+                            Reconciler::fold(sink.events.iter()),
+                            m,
+                            "[--check] {} on {}: event stream does not reconcile to metrics",
+                            fe.label(),
+                            spec.name
+                        );
                     }
-                }
+                    let mut section = String::new();
+                    jsonl::write_section(&mut section, &fe.label(), spec.name, &sink.events);
+                    event_sections.lock().expect("event section lock").push((idx, section));
+                    m
+                };
+                cold.resident(self.store.as_deref(), spec, fe, self.insts, cell, replay)
+            } else {
+                cold.simulate(self.store.as_ref(), spec, fe, self.insts, cell)
             };
-            sim_ms_total.fetch_add(sim_ms, Ordering::Relaxed);
-            trace_sim_ms[cell.trace].fetch_add(sim_ms, Ordering::Relaxed);
-            let mut row = Row::new(spec.name, &spec.suite.to_string(), *fe, self.insts, &m);
-            row.elapsed_ms = elapsed_ms;
+            trace_ms[cell.trace].fetch_add(row.elapsed_ms, Ordering::Relaxed);
             if let Some(store) = &self.store {
                 store.store_result(
                     &result_key(spec, fe, self.insts),
                     &crate::report::to_json(std::slice::from_ref(&row)),
                 );
             }
-            done_rows.lock().expect("sweep result lock").push((cell.trace * n_fe + cell.fe, row));
+            done_rows.lock().expect("sweep result lock").push((idx, row));
             if remaining[cell.trace].fetch_sub(1, Ordering::AcqRel) == 1 && self.progress {
                 eprintln!(
-                    "[sweep] {:<18} {} cached, {} simulated, capture {} ms, sim {} ms",
+                    "[sweep] {:<18} {} cached, {} simulated in {} ms",
                     spec.name,
                     n_fe - cell.missing,
                     cell.missing,
-                    cap_ms,
-                    trace_sim_ms[cell.trace].load(Ordering::Relaxed)
+                    trace_ms[cell.trace].load(Ordering::Relaxed)
                 );
             }
         });
@@ -460,14 +293,9 @@ impl Sweep {
             total_cells: n_cells,
             cached_cells: n_cells - cells.len(),
             simulated_cells: cells.len(),
-            deduped_cells: 0,
-            captures: captures.into_inner(),
-            capture_ms: capture_ms_total.into_inner(),
-            sim_ms: sim_ms_total.into_inner(),
-            overlapped_cells: overlapped_cells.into_inner() as usize,
-            overlap_ms: overlap_ms_total.into_inner(),
             wall_ms: wall0.elapsed().as_millis() as u64,
             workers,
+            ..cold.bench()
         };
         if self.progress {
             if let Some(store) = &self.store {
@@ -491,27 +319,6 @@ impl Sweep {
 /// first violation.
 pub fn run_checked(fe: &mut dyn Frontend, trace: &Trace, trace_name: &str) -> FrontendMetrics {
     run_checked_traced(fe, trace, trace_name, &mut NullSink)
-}
-
-/// Replays one cell from the store's copy of its trace on a fresh
-/// frontend: open, streamed replay and the entry's verdict in one
-/// [`Store::replay_trace_stream`] call. The sweep and the daemon both
-/// replay stored traces through here only, so a row is never published
-/// from an entry that failed its verdict. A verified replay yields the
-/// metrics plus the open and replay milliseconds.
-pub fn replay_stored(
-    store: &Store,
-    spec: &TraceSpec,
-    fe: &FrontendSpec,
-    insts: usize,
-) -> StreamReplay<(FrontendMetrics, u64, u64)> {
-    let open0 = Instant::now();
-    store.replay_trace_stream(spec, insts, |stream| {
-        let open_ms = open0.elapsed().as_millis() as u64;
-        let sim0 = Instant::now();
-        let m = fe.instantiate().run_streamed(stream);
-        (m, open_ms, sim0.elapsed().as_millis() as u64)
-    })
 }
 
 /// [`run_checked`] with an event sink attached: every step goes through
@@ -651,14 +458,12 @@ where
     parallel_cells(traces.len() * n_cfg, resolve_threads(threads), |cell| {
         let (ti, ci) = (cell / n_cfg, cell % n_cfg);
         let spec = &traces[ti];
-        let trace = Arc::clone(shared[ti].get_or_init(|| {
-            Arc::new(match store {
-                Some(s) => s.get_or_capture(spec, insts),
-                None => spec.capture(insts),
-            })
-        }));
+        let trace = shared[ti].get_or_init(|| match store {
+            Some(s) => s.get_or_capture(spec, insts),
+            None => Arc::new(spec.capture(insts)),
+        });
         let mut fe = make(ci);
-        let m = fe.run(&trace);
+        let m = fe.run(trace);
         results
             .lock()
             .expect("sweep result lock")
@@ -690,7 +495,7 @@ where
         let spec = &specs[i];
         let trace = match store {
             Some(s) => s.get_or_capture(spec, insts),
-            None => spec.capture(insts),
+            None => Arc::new(spec.capture(insts)),
         };
         results.lock().expect("map result lock").push((i, f(spec, &trace)));
     });
@@ -743,32 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_shares_sum_to_the_measured_time() {
-        // The remainder is spread over the first `total % missing`
-        // cells, one extra millisecond each, so nothing is dropped.
-        for (total, missing) in
-            [(0u64, 1usize), (1, 3), (7, 3), (9, 3), (100, 7), (6, 6), (5, 8), (1234, 11)]
-        {
-            let shares: Vec<u64> = (0..missing).map(|r| capture_share(total, missing, r)).collect();
-            assert_eq!(shares.iter().sum::<u64>(), total, "total={total} missing={missing}");
-            // Shares are within 1 ms of each other, largest first.
-            assert!(shares.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
-        }
-        // Overlapped cells use a different split of the same invariant:
-        // the leader's wall clock covers capture and simulation
-        // together, the capture attribution is the capture's own wall
-        // (clamped to the cell's), and the rest is sim — so the two
-        // attributions sum to exactly the measured cell time, never
-        // more (the old strictly-serial accounting would have summed to
-        // wall + capture, double-counting the hidden capture).
-        for (wall, cap_ms) in [(100u64, 60u64), (100, 100), (50, 80), (0, 0), (7, 0)] {
-            let capture_attr = cap_ms.min(wall);
-            let sim_attr = wall.saturating_sub(cap_ms);
-            assert_eq!(capture_attr + sim_attr, wall, "wall={wall} cap={cap_ms}");
-        }
-    }
-
-    #[test]
     fn streamed_sweep_overlaps_and_matches_resident() {
         let dir =
             std::env::temp_dir().join(format!("xbc-sweep-overlap-test-{}", std::process::id()));
@@ -779,7 +558,6 @@ mod tests {
         // Baseline rows: no store, resident capture.
         let mut resident = Sweep::new(traces.clone(), frontends.clone(), 4_000);
         resident.progress = false;
-        resident.stream_capture = false;
         let baseline = resident.run();
 
         // Cold streamed sweep: every trace is captured overlapped with

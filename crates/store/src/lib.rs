@@ -308,8 +308,8 @@ impl<V: Clone> Drop for FlightLead<'_, V> {
 /// in flight at a time; concurrent requesters block and share the
 /// leader's result instead of redoing the work.
 ///
-/// This is the dedup primitive behind [`Store::get_or_capture_shared`]
-/// and [`Store::stream_capture_shared`]. Keys are
+/// This is the dedup primitive behind [`Store::get_or_capture`] and
+/// [`Store::stream_capture_shared`]. Keys are
 /// caller-composed content hashes (the same discipline as the store's
 /// on-disk keys), values are cheap clones (`Arc`s in practice).
 ///
@@ -372,18 +372,6 @@ impl<V: Clone> SingleFlight<V> {
     pub fn in_flight(&self) -> usize {
         self.slots.lock().expect("flight table lock").len()
     }
-}
-
-/// How [`Store::get_or_capture_shared`] obtained its trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CaptureOutcome {
-    /// Loaded from the on-disk trace store.
-    CacheHit,
-    /// Captured fresh by this caller (and stored for next time).
-    Captured,
-    /// Shared from a concurrent caller's in-flight capture of the same
-    /// entry — this caller did no capture work and touched no counters.
-    Joined,
 }
 
 /// What [`Store::stream_capture_shared`] resolved to.
@@ -534,7 +522,7 @@ pub struct Store {
     c: Counters,
     /// In-process single-flight dedup of trace entry creation: two
     /// threads asking for the same absent `(spec, insts)` entry capture
-    /// it once and share the result (see [`Store::get_or_capture_shared`]).
+    /// it once and share the result (see [`Store::get_or_capture`]).
     capture_flights: SingleFlight<Arc<Trace>>,
     /// Single-flight dedup of *streamed* capture-to-disk (see
     /// [`Store::stream_capture_shared`]): the value is unit because the
@@ -656,46 +644,25 @@ impl Store {
     /// capture for next time). The returned trace is identical either
     /// way — that is the store's whole contract.
     ///
-    /// Entry creation is single-flight (see
-    /// [`Store::get_or_capture_shared`]): concurrent callers racing on
-    /// the same absent entry capture it once and share the result.
-    pub fn get_or_capture(&self, spec: &TraceSpec, insts: usize) -> Trace {
-        let (trace, _) = self.get_or_capture_shared(spec, insts);
-        match Arc::try_unwrap(trace) {
-            Ok(t) => t,
-            Err(shared) => (*shared).clone(),
-        }
-    }
-
-    /// [`Store::get_or_capture`] with in-process single-flight dedup
-    /// made visible: the first caller to miss on an entry becomes the
-    /// leader (loads or captures, storing the capture), and every
-    /// caller racing on the same key blocks briefly and shares the
-    /// leader's `Arc` instead of capturing again. The returned
-    /// [`CaptureOutcome`] says which side this caller was on — a
-    /// `Joined` caller did no work and bumped no store counters, so
-    /// summing `Captured` outcomes across concurrent consumers counts
-    /// each entry's creation exactly once.
-    pub fn get_or_capture_shared(
-        &self,
-        spec: &TraceSpec,
-        insts: usize,
-    ) -> (Arc<Trace>, CaptureOutcome) {
+    /// Entry creation is single-flight: the first caller to miss on an
+    /// entry loads or captures it, and every caller racing on the same
+    /// entry blocks briefly and shares the leader's `Arc` without
+    /// touching the store's counters, so concurrent callers count one
+    /// `trace_misses` per created entry.
+    pub fn get_or_capture(&self, spec: &TraceSpec, insts: usize) -> Arc<Trace> {
         let key = format!("{}|{:016x}", spec.name, Self::trace_key(spec, insts));
         loop {
             match self.capture_flights.join(&key) {
                 Flight::Leader(lead) => {
-                    if let Some(t) = self.load_trace(spec, insts) {
-                        let t = Arc::new(t);
-                        lead.complete(Arc::clone(&t));
-                        return (t, CaptureOutcome::CacheHit);
-                    }
-                    let t = Arc::new(spec.capture(insts));
-                    self.store_trace(spec, insts, &t);
+                    let t = Arc::new(self.load_trace(spec, insts).unwrap_or_else(|| {
+                        let t = spec.capture(insts);
+                        self.store_trace(spec, insts, &t);
+                        t
+                    }));
                     lead.complete(Arc::clone(&t));
-                    return (t, CaptureOutcome::Captured);
+                    return t;
                 }
-                Flight::Shared(t) => return (t, CaptureOutcome::Joined),
+                Flight::Shared(t) => return t,
                 // The leader died mid-capture (panic on its thread);
                 // race to become the new leader and redo the work.
                 Flight::Failed(_) => continue,
@@ -861,9 +828,9 @@ impl Store {
     /// when the entry already exists the caller gets
     /// [`StreamCapture::CacheHit`] immediately.
     ///
-    /// Counter discipline matches [`Store::get_or_capture_shared`]: only
-    /// a fresh leader counts a `trace_misses`, so summing leaders across
-    /// concurrent consumers counts each entry's creation exactly once.
+    /// Counter discipline matches [`Store::get_or_capture`]: only a
+    /// fresh leader counts a `trace_misses`, so concurrent consumers
+    /// count each entry's creation exactly once.
     pub fn stream_capture_shared(
         self: &Arc<Self>,
         spec: &TraceSpec,
@@ -1669,27 +1636,28 @@ mod tests {
         let s = Scratch::new("shared-capture");
         let store = Store::open(&s.0).unwrap();
         let spec = &standard_traces()[0];
-        let outcomes: Mutex<Vec<CaptureOutcome>> = Mutex::new(Vec::new());
+        let traces: Mutex<Vec<Arc<Trace>>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for _ in 0..6 {
-                scope.spawn(|| {
-                    let (t, outcome) = store.get_or_capture_shared(spec, 1_000);
-                    assert_eq!(t.inst_count(), 1_000);
-                    outcomes.lock().unwrap().push(outcome);
-                });
+                scope.spawn(|| traces.lock().unwrap().push(store.get_or_capture(spec, 1_000)));
             }
         });
-        let outcomes = outcomes.into_inner().unwrap();
-        let captured = outcomes.iter().filter(|o| matches!(o, CaptureOutcome::Captured)).count();
-        assert_eq!(captured, 1, "exactly one racer captures: {outcomes:?}");
-        // Exactly one miss was counted — the leader's — however many
-        // threads raced. (A racer arriving after the flight retired
-        // takes the CacheHit path; a racer arriving during it joins.)
+        // Exactly one miss was counted — the capturing leader's — however
+        // many threads raced. (A racer arriving after the flight retired
+        // loads the entry; a racer arriving during it joins.)
         assert_eq!(store.stats().trace_misses, 1);
+        let traces = traces.into_inner().unwrap();
+        assert_eq!(traces.len(), 6);
+        assert_eq!(traces[0].inst_count(), 1_000);
+        assert!(
+            traces.iter().all(|t| t.insts() == traces[0].insts()),
+            "every racer gets an equal trace"
+        );
         // A later call is a plain cache hit.
-        let (_, outcome) = store.get_or_capture_shared(spec, 1_000);
-        assert_eq!(outcome, CaptureOutcome::CacheHit);
-        assert!(store.stats().trace_hits >= 1);
+        let hits = store.stats().trace_hits;
+        store.get_or_capture(spec, 1_000);
+        assert_eq!(store.stats().trace_hits, hits + 1);
+        assert_eq!(store.stats().trace_misses, 1);
     }
 
     #[test]
@@ -1717,7 +1685,7 @@ mod tests {
 
     #[test]
     fn stream_capture_shared_overlaps_and_dedups() {
-        let s = Scratch::new("stream-capture-shared");
+        let s = Scratch::new("streamed-capture-shared");
         let store = Arc::new(Store::open(&s.0).unwrap());
         let spec = &standard_traces()[1];
         let insts = 3_000usize;
@@ -1746,7 +1714,7 @@ mod tests {
 
     #[test]
     fn stream_capture_shared_joiners_wait_for_the_leader() {
-        let s = Scratch::new("stream-capture-join");
+        let s = Scratch::new("streamed-capture-join");
         let store = Arc::new(Store::open(&s.0).unwrap());
         let spec = &standard_traces()[2];
         let insts = 2_000usize;
@@ -1783,7 +1751,7 @@ mod tests {
 
     #[test]
     fn dropped_overlapped_capture_still_persists() {
-        let s = Scratch::new("stream-capture-drop");
+        let s = Scratch::new("streamed-capture-drop");
         let store = Arc::new(Store::open(&s.0).unwrap());
         let spec = &standard_traces()[3];
         let insts = 1_500usize;

@@ -170,12 +170,15 @@ fn the_tier_holds_at_most_its_cap() {
     wait_until_live(&endpoint);
 
     let grid = req(&traces, &fes, INSTS);
-    for _ in 0..2 {
+    for round in 0..2 {
         let out = submit(&endpoint, &grid).unwrap();
         assert_eq!(out.bench.cached_cells, cells);
         assert_eq!(out.rows.len(), cells);
         let tier = out.tier.unwrap();
         assert_eq!(tier.rows, TIER_ROWS as u64, "the tier fills to its cap and no further");
+        if round == 1 {
+            assert_eq!(tier.memory_cells, TIER_ROWS as u64, "a full tier serves what it holds");
+        }
     }
 
     shutdown(&endpoint).unwrap();

@@ -5,7 +5,9 @@
 //! millisecond of capture + simulation to some row (no remainder
 //! dropped by the capture-cost split).
 
+use std::sync::Arc;
 use xbc_sim::{FrontendSpec, Sweep};
+use xbc_store::Store;
 use xbc_workload::{standard_traces, TraceSpec};
 
 /// A fig9-style grid: many configurations, few traces — the shape a
@@ -82,7 +84,7 @@ fn elapsed_ms_sums_to_measured_capture_plus_sim_time() {
     // truncating it, so the per-row elapsed times reconstruct the
     // measured wall time exactly — not "up to missing-1 ms short".
     let traces: Vec<TraceSpec> = standard_traces().into_iter().take(2).collect();
-    let mut sweep = Sweep::new(traces, eight_frontends(), 20_000);
+    let mut sweep = Sweep::new(traces.clone(), eight_frontends(), 20_000);
     sweep.progress = false;
     sweep.threads = 4;
     let (rows, bench) = sweep.run_with_bench();
@@ -95,4 +97,24 @@ fn elapsed_ms_sums_to_measured_capture_plus_sim_time() {
     // And the bench's own ledger is internally consistent.
     assert_eq!(bench.total_cells, bench.cached_cells + bench.simulated_cells);
     assert_eq!(bench.workers.iter().map(|w| w.cells).sum::<usize>(), bench.simulated_cells);
+
+    // A cold store-backed run: each trace's first cell simulates off its
+    // streamed capture, the others replay the stored entry. The leader's
+    // row is its wall time and the others' are stream open + replay, so
+    // the rows still add up to the ledger.
+    let dir = std::env::temp_dir().join(format!("xbc-sweep-ledger-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    sweep.store = Some(Arc::new(Store::open(&dir).unwrap()));
+    let (stored, bench) = sweep.run_with_bench();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(bench.simulated_cells, rows.len());
+    assert_eq!(bench.captures, traces.len() as u64, "each trace is captured once");
+    assert_eq!(bench.overlapped_cells, traces.len(), "each capture feeds one cell live");
+    assert!(bench.overlap_ms <= bench.capture_ms);
+    assert_eq!(
+        stored.iter().map(|r| r.elapsed_ms).sum::<u64>(),
+        bench.capture_ms + bench.sim_ms,
+        "stored-path rows must account for every capture, open and replay millisecond"
+    );
+    assert_rows_identical(&rows, &stored);
 }
