@@ -55,7 +55,8 @@ impl FuzzCase {
         let mut rng = Rng64::seed_from_u64(seed ^ 0xF0CA_CC1A_0F5E_BA5E);
         let functions = 1 + rng.uniform(48) as usize;
         let insts = 400 + rng.uniform(7600) as usize;
-        let total_uops = [2048usize, 4096, 8192, 32 * 1024][rng.uniform(4) as usize];
+        let pool = capacity_pool();
+        let total_uops = pool[rng.uniform(pool.len() as u64) as usize];
         let promotion = rng.uniform(3) as u8;
         let set_search = rng.gen::<bool>();
         let xbq_depth = [0usize, 8, 16, 32][rng.uniform(4) as usize];
@@ -220,6 +221,24 @@ impl FuzzCase {
     }
 }
 
+/// The capacities [`FuzzCase::from_seed`] draws from: every multiple of
+/// 1024 uops from 2 to 96 KiB that all five frontends accept. That is the
+/// range of XBC columns `serve_mix`-style requests ask for, and most of
+/// these sizes give set counts that are not a power of two.
+fn capacity_pool() -> Vec<usize> {
+    (2..=96)
+        .map(|kib| kib * 1024)
+        .filter(|&total_uops| {
+            // The geometry each frontend checks is its default one at
+            // `total_uops`, as in [`FuzzCase::frontends`].
+            UopCacheConfig { total_uops, ..Default::default() }.check().is_ok()
+                && TcConfig { total_uops, ..Default::default() }.check().is_ok()
+                && BbtcConfig { total_uops, ..Default::default() }.check().is_ok()
+                && XbcConfig { total_uops, ..XbcConfig::default() }.check().is_ok()
+        })
+        .collect()
+}
+
 /// How a fuzz case failed.
 #[derive(Clone, Debug)]
 pub enum Failure {
@@ -280,6 +299,17 @@ pub fn run_case(case: &FuzzCase) -> Result<Vec<(String, FrontendMetrics)>, Failu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn capacity_pool_reaches_sets_that_are_not_powers_of_two() {
+        let pool = capacity_pool();
+        assert!(pool.contains(&(3 * 1024)) && pool.contains(&(96 * 1024)), "pool {pool:?}");
+        let sets = |n| XbcConfig { total_uops: n, ..XbcConfig::default() }.sets();
+        assert!(pool.iter().filter(|&&n| !sets(n).is_power_of_two()).count() > pool.len() / 2);
+        let drawn: std::collections::HashSet<usize> =
+            (0..400).map(|seed| FuzzCase::from_seed(seed).total_uops).collect();
+        assert!(drawn.len() > 40, "only {} capacities drawn", drawn.len());
+    }
 
     #[test]
     fn json_roundtrip() {

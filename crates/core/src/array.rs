@@ -39,9 +39,6 @@ use xbc_uarch::SetIndex;
 /// number of lines in any [`Assembly`].
 pub const MAX_BANKS: usize = 8;
 
-/// Memo key marking an assembly computed without a bank-mask restriction.
-const UNRESTRICTED_KEY: u16 = 0x100;
-
 /// Valid bit of a packed meta lane.
 const META_VALID: u64 = 1 << 63;
 
@@ -72,7 +69,7 @@ const fn meta_conflicts(meta: u64) -> u8 {
 /// A resolved arrangement of one XB's lines: index `k` is the `(bank, way)`
 /// of the order-`k` line. `Copy` and small (the coordinates are `u8` —
 /// `banks ≤ 8`, `ways < 256`), so the hot path passes assemblies by value
-/// in registers: every memo-hit `assemble`/`lookup` copies one out.
+/// in registers: every `assemble`/`lookup` returns one by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Assembly {
     /// `(bank, way)` per order, order ascending from 0.
@@ -83,28 +80,37 @@ pub struct Assembly {
     pub total_uops: usize,
 }
 
-/// Reusable buffers for [`XbcArray::assemble`] (DESIGN.md §12): candidate
-/// list and per-order buckets survive across calls so the steady-state
-/// delivery path never allocates.
+/// Reusable buffers for the backtracking search of
+/// [`XbcArray::assemble`] (DESIGN.md §12): candidate list and per-order
+/// buckets survive across calls so even ambiguous assemblies never
+/// allocate.
 #[derive(Clone, Debug, Default)]
 struct AssembleScratch {
     cands: Vec<(usize, usize, u8, usize)>,
     by_order: Vec<Vec<(usize, usize, usize)>>,
 }
 
-/// One direct-mapped memo slot: the cached result of
-/// `assemble(set, tag, within)` at structural generation `generation`.
+/// No line: the empty slot of a per-order lane table.
+const NO_LANE: u8 = u8::MAX;
+
+/// Entries of the recent-assembly cache (a power of two; 64 KiB).
+const RECENT_SLOTS: usize = 1024;
+
+/// Mask key of an unrestricted assembly in the recent-assembly cache.
+const UNRESTRICTED: u16 = 0x100;
+
+/// One recent-assembly cache entry: the unambiguous result of
+/// `assemble(set, tag, within)` while the set's structural generation
+/// was `generation`. One cache line.
 #[derive(Clone, Copy, Debug)]
-struct MemoEntry {
-    set: u32,
-    tag: u64,
-    mask_key: u16,
+#[repr(align(64))]
+struct Recent {
     generation: u64,
+    tag: u64,
+    set: u32,
+    mask_key: u16,
     result: Option<Assembly>,
 }
-
-/// Direct-mapped assembly-memo size (power of two).
-const MEMO_SLOTS: usize = 2048;
 
 /// Outcome of one XB fetch attempt within a cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -169,6 +175,11 @@ pub struct XbcArray {
     line_uops: usize,
     /// Lanes per set (= `banks * ways`); lane `bank * ways + way`.
     lanes: usize,
+    /// `(bank, way)` of each lane of a set, so the hot path never divides.
+    lane_coords: [(u8, u8); 64],
+    /// Lane-bit mask of every [`BankMask`] value: bit `bank * ways + way`
+    /// for each way of each bank in the mask.
+    bank_lanes: Box<[u64; 256]>,
     /// Tag plane, one lane per `(set, bank, way)`, set-major.
     tags: Vec<u64>,
     /// Packed meta plane (valid/order/count/conflicts); 0 = invalid lane.
@@ -183,12 +194,12 @@ pub struct XbcArray {
     dynamic_placement: bool,
     stats: ArrayStats,
     scratch: AssembleScratch,
-    /// Direct-mapped assembly memo (DESIGN.md §12). Entries are validated
-    /// against the owning set's structural generation.
-    memo: Vec<Option<MemoEntry>>,
-    /// Per-set structural generation: bumped on any line write, move,
-    /// eviction or `demote_lru`, never on fetch-time LRU-stamp bumps.
-    set_generation: Vec<u64>,
+    /// Per set: bumped by every change to one of its lines' tag, order or
+    /// uop count, which is all an unambiguous assembly depends on.
+    generation: Vec<u64>,
+    /// Direct-mapped cache of recent unambiguous assemblies, valid while
+    /// `generation` stands.
+    recent: Box<[Recent; RECENT_SLOTS]>,
 }
 
 impl XbcArray {
@@ -209,12 +220,26 @@ impl XbcArray {
             false,
             xbc_isa::BranchKind::None,
         );
+        let mut lane_coords = [(0, 0); 64];
+        for (lane, c) in lane_coords.iter_mut().enumerate().take(lanes) {
+            *c = ((lane / cfg.ways) as u8, (lane % cfg.ways) as u8);
+        }
+        // `ways` is 1..=64: a 64-way bank is all 64 lane bits.
+        let way_bits = u64::MAX >> (64 - cfg.ways);
+        let mut bank_lanes = Box::new([0u64; 256]);
+        for (bits, lanes) in bank_lanes.iter_mut().enumerate() {
+            for bank in (0..cfg.banks).filter(|&b| bits & (1 << b) != 0) {
+                *lanes |= way_bits << (bank * cfg.ways);
+            }
+        }
         XbcArray {
             index: SetIndex::new(sets),
             banks: cfg.banks,
             ways: cfg.ways,
             line_uops: cfg.line_uops,
             lanes,
+            lane_coords,
+            bank_lanes,
             tags: vec![0; total],
             meta: vec![0; total],
             stamps: vec![0; total],
@@ -224,8 +249,10 @@ impl XbcArray {
             dynamic_placement: cfg.dynamic_placement,
             stats: ArrayStats::default(),
             scratch: AssembleScratch::default(),
-            memo: vec![None; MEMO_SLOTS],
-            set_generation: vec![0; sets],
+            generation: vec![1; sets],
+            recent: Box::new(
+                [Recent { generation: 0, tag: 0, set: 0, mask_key: 0, result: None }; RECENT_SLOTS],
+            ),
         }
     }
 
@@ -303,24 +330,6 @@ impl XbcArray {
         self.stamp
     }
 
-    /// Marks `set` structurally changed: memo entries recorded against the
-    /// old generation stop validating. Cheap, so every mutating path calls
-    /// it (redundant bumps are harmless).
-    #[inline]
-    fn touch_structure(&mut self, set: usize) {
-        self.set_generation[set] += 1;
-    }
-
-    /// Direct-mapped memo slot for `(set, tag, mask_key)`.
-    #[inline]
-    fn memo_slot(set: usize, tag: u64, mask_key: u16) -> usize {
-        let h = (set as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(tag.wrapping_mul(0xA24B_AED4_963E_E407))
-            .wrapping_add(mask_key as u64);
-        ((h >> 48) ^ (h >> 21) ^ h) as usize & (MEMO_SLOTS - 1)
-    }
-
     /// Branchless tag-match scan over one set's lanes: bit `i` of the
     /// result is set iff lane `i` (= `bank * ways + way`) is valid and
     /// holds `tag`. The loop has no per-way branches — it compiles to a
@@ -339,17 +348,27 @@ impl XbcArray {
         bits
     }
 
+    /// Bit `i` set iff lane `i` of `set` holds a valid line.
+    #[inline]
+    fn valid_lanes(&self, set: usize) -> u64 {
+        let base = set * self.lanes;
+        let mut bits = 0u64;
+        for (i, &m) in self.meta[base..base + self.lanes].iter().enumerate() {
+            bits |= ((m & META_VALID != 0) as u64) << i;
+        }
+        bits
+    }
+
+    /// The lane-bit mask of every lane of a set.
+    #[inline]
+    fn all_lanes(&self) -> u64 {
+        u64::MAX >> (64 - self.lanes)
+    }
+
     /// The lane-bit mask selecting every way of the banks in `within`.
     #[inline]
     fn lane_mask_of(&self, within: BankMask) -> u64 {
-        let way_bits = (1u64 << self.ways) - 1;
-        let mut m = 0u64;
-        for bank in 0..self.banks {
-            if within.contains(bank) {
-                m |= way_bits << (bank * self.ways);
-            }
-        }
-        m
+        self.bank_lanes[within.bits() as usize]
     }
 
     /// Collects all `(bank, way, order, count)` whose line matches `tag`,
@@ -363,16 +382,19 @@ impl XbcArray {
         within: Option<BankMask>,
         out: &mut Vec<(usize, usize, u8, usize)>,
     ) {
+        // Filtered bank by bank rather than through the lane-mask table,
+        // so the reference assembly checks that table too.
         let mut bits = self.match_lanes(set, tag);
-        if let Some(w) = within {
-            bits &= self.lane_mask_of(w);
-        }
         let base = set * self.lanes;
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
+            let (bank, way) = (lane / self.ways, lane % self.ways);
+            if within.is_some_and(|w| !w.contains(bank)) {
+                continue;
+            }
             let m = self.meta[base + lane];
-            out.push((lane / self.ways, lane % self.ways, meta_order(m), meta_count(m)));
+            out.push((bank, way, meta_order(m), meta_count(m)));
         }
     }
 
@@ -384,78 +406,103 @@ impl XbcArray {
     /// longest valid arrangement — greedy freshest-first picking can paint
     /// itself into a corner once merges populate sets with alternates.
     ///
-    /// Allocation-free: candidate collection and the per-order buckets use
-    /// scratch buffers reused across calls, and *unambiguous* results
-    /// (at most one candidate line per order, so LRU stamps cannot affect
-    /// the outcome) are memoized per `(set, tag, mask)` until the set next
-    /// changes structurally — the steady-state delivery path skips the DFS
-    /// entirely (DESIGN.md §12).
+    /// Allocation-free, and cheap in the common case (DESIGN.md §12): one
+    /// compare scan of the set's tag lanes finds the candidates, and when
+    /// no order has more than one of them the arrangement is a single
+    /// chain, walked directly. Such *unambiguous* results do not depend on
+    /// LRU stamps, so a direct-mapped cache keeps the recent ones until
+    /// their set next changes structurally; a hit reads one cache line
+    /// instead of the set's tag and meta lanes. Only ambiguous sets run
+    /// the search (over scratch buffers reused across calls).
     pub fn assemble(&mut self, set: usize, tag: u64, within: Option<BankMask>) -> Option<Assembly> {
-        let mask_key = within.map(|m| m.bits() as u16).unwrap_or(UNRESTRICTED_KEY);
-        let generation = self.set_generation[set];
-        let slot = Self::memo_slot(set, tag, mask_key);
-        if let Some(e) = &self.memo[slot] {
-            if e.set == set as u32
-                && e.tag == tag
-                && e.mask_key == mask_key
-                && e.generation == generation
-            {
-                return e.result;
-            }
+        let mask_key = within.map_or(UNRESTRICTED, |m| m.bits() as u16);
+        let slot =
+            ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize ^ set ^ mask_key as usize)
+                & (RECENT_SLOTS - 1);
+        let r = &self.recent[slot];
+        let generation = self.generation[set];
+        if r.generation == generation
+            && r.tag == tag
+            && r.set == set as u32
+            && r.mask_key == mask_key
+        {
+            return r.result;
         }
-        // Exact-key miss: a memoized *unrestricted* assembly answers a
-        // restricted query too, whenever its result fits inside the
-        // queried mask — the restricted search space is a subset that
-        // still contains the unrestricted winner, and any same-length
-        // competitor explored earlier would equally have won the
-        // unrestricted search.
-        if mask_key != UNRESTRICTED_KEY {
-            let uslot = Self::memo_slot(set, tag, UNRESTRICTED_KEY);
-            if let Some(e) = &self.memo[uslot] {
-                if e.set == set as u32
-                    && e.tag == tag
-                    && e.mask_key == UNRESTRICTED_KEY
-                    && e.generation == generation
-                {
-                    let within = within.expect("restricted query");
-                    match &e.result {
-                        Some(a) if a.mask.is_subset_of(within) => {
-                            return e.result;
-                        }
-                        // No lines at all: every restriction agrees.
-                        None => {
-                            return None;
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (result, unambiguous) = self.assemble_in(set, tag, within, &mut scratch);
-        self.scratch = scratch;
+        let (result, unambiguous) = self.assemble_now(set, tag, within);
         if unambiguous {
-            self.memo[slot] =
-                Some(MemoEntry { set: set as u32, tag, mask_key, generation, result });
+            self.recent[slot] = Recent { generation, tag, set: set as u32, mask_key, result };
         }
         result
     }
 
+    /// [`XbcArray::assemble`] computed from the lanes, and whether the
+    /// result is unambiguous (independent of LRU stamps).
+    fn assemble_now(
+        &mut self,
+        set: usize,
+        tag: u64,
+        within: Option<BankMask>,
+    ) -> (Option<Assembly>, bool) {
+        let mut bits = self.match_lanes(set, tag);
+        if let Some(w) = within {
+            bits &= self.lane_mask_of(w);
+        }
+        if bits == 0 {
+            return (None, true);
+        }
+        let base = set * self.lanes;
+        let mut by_order = [NO_LANE; MAX_BANKS];
+        let mut rest = bits;
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let order = meta_order(self.meta[base + lane]) as usize;
+            if order < self.banks {
+                if by_order[order] != NO_LANE {
+                    let mut scratch = std::mem::take(&mut self.scratch);
+                    let result = self.assemble_in(set, tag, within, &mut scratch);
+                    self.scratch = scratch;
+                    return (result, false);
+                }
+                by_order[order] = lane as u8;
+            }
+        }
+        // One candidate per order: extend the chain from order 0 while
+        // banks stay distinct and lines stay full.
+        let mut asm = Assembly { lines: InlineVec::new(), mask: BankMask::EMPTY, total_uops: 0 };
+        for &lane in &by_order[..self.banks] {
+            if lane == NO_LANE {
+                break;
+            }
+            let (bank, way) = self.lane_coords[lane as usize];
+            if asm.mask.contains(bank as usize) {
+                break;
+            }
+            let count = meta_count(self.meta[base + lane as usize]);
+            asm.lines.push((bank, way));
+            asm.mask.insert(bank as usize);
+            asm.total_uops += count;
+            if count != self.line_uops {
+                break;
+            }
+        }
+        ((!asm.lines.is_empty()).then_some(asm), true)
+    }
+
     /// The scratch-buffer assembly: identical search to
     /// [`XbcArray::assemble_reference`], but reusing `scratch` instead of
-    /// allocating. Also reports whether the result was *unambiguous*
-    /// (no order had more than one candidate), i.e. safe to memoize.
+    /// allocating.
     fn assemble_in(
         &self,
         set: usize,
         tag: u64,
         within: Option<BankMask>,
         scratch: &mut AssembleScratch,
-    ) -> (Option<Assembly>, bool) {
+    ) -> Option<Assembly> {
         scratch.cands.clear();
         self.collect_candidates(set, tag, within, &mut scratch.cands);
         if scratch.cands.is_empty() {
-            return (None, true);
+            return None;
         }
         // Candidates per order, freshest first (preference order for ties).
         if scratch.by_order.len() < self.banks {
@@ -465,14 +512,9 @@ impl XbcArray {
         for v in by_order.iter_mut() {
             v.clear();
         }
-        let mut unambiguous = true;
         for &(bank, way, order, count) in &scratch.cands {
             if (order as usize) < self.banks {
-                let bucket = &mut by_order[order as usize];
-                if !bucket.is_empty() {
-                    unambiguous = false;
-                }
-                bucket.push((bank, way, count));
+                by_order[order as usize].push((bank, way, count));
             }
         }
         for v in by_order.iter_mut() {
@@ -485,10 +527,10 @@ impl XbcArray {
         let mut best: Option<Assembly> = None;
         let mut stack: InlineVec<(u8, u8), MAX_BANKS> = InlineVec::new();
         self.assemble_dfs(by_order, 0, BankMask::EMPTY, 0, &mut stack, &mut best);
-        (best, unambiguous)
+        best
     }
 
-    /// Naive reference assembly: the allocating implementation the memoized
+    /// Naive reference assembly: the allocating implementation the fast
     /// path must agree with, kept for differential testing (it shares only
     /// `assemble_dfs` with the scratch path). Not used on the hot path.
     pub fn assemble_reference(
@@ -577,6 +619,29 @@ impl XbcArray {
         }
     }
 
+    /// Length of the common suffix of an assembled XB and a uop sequence
+    /// given **last uop first**: how many of `rev`'s leading uops equal the
+    /// stored XB's uops read backwards from its end. Compares against the
+    /// lines in place, reading no more of either side than the match.
+    pub(crate) fn common_suffix(
+        &self,
+        set: usize,
+        asm: &Assembly,
+        mut rev: impl Iterator<Item = Uop>,
+    ) -> usize {
+        let mut n = 0;
+        for &(bank, way) in asm.lines.iter() {
+            let idx = self.idx(set, bank as usize, way as usize);
+            for stored in self.region(idx, meta_count(self.meta[idx])).iter().rev() {
+                if rev.next().as_ref() != Some(stored) {
+                    return n;
+                }
+                n += 1;
+            }
+        }
+        n
+    }
+
     /// Reads the **last** `offset` uops of an assembled XB, in program
     /// order (the window a pointer with that offset would fetch).
     ///
@@ -616,19 +681,13 @@ impl XbcArray {
         }
     }
 
-    /// The structural generation of `set` — bumped by every structural
-    /// mutation (insert, extend, evict, relocation, LRU demotion), which
-    /// is what invalidates memoized assemblies of the set.
-    #[doc(hidden)] // Exposed for the differential tests only.
-    pub fn generation(&self, set: usize) -> u64 {
-        self.set_generation[set]
-    }
-
     /// Ages every line of `tag` in `set` to LRU-minimum (paper §3.8: a
     /// promoted XB0's original location is first in line for eviction).
     pub fn demote_lru(&mut self, xb_ip: Addr) {
         let (set, tag) = self.set_and_tag(xb_ip);
-        self.touch_structure(set);
+        // Conservative: only stamps change, which unambiguous assemblies
+        // do not depend on.
+        self.generation[set] += 1;
         let mut bits = self.match_lanes(set, tag);
         let base = set * self.lanes;
         while bits != 0 {
@@ -638,16 +697,26 @@ impl XbcArray {
         }
     }
 
+    /// The structural generation of `set` — bumped by every structural
+    /// mutation (insert, extend, evict, relocation, LRU demotion), which
+    /// is what retires the set's cached assemblies.
+    #[doc(hidden)] // Exposed for the differential tests only.
+    pub fn generation(&self, set: usize) -> u64 {
+        self.generation[set]
+    }
+
     /// Validates that pointer `ptr` can be fetched: enough contiguous
     /// orders within its mask to cover `ptr.offset` uops.
     pub fn lookup(&mut self, ptr: &XbPtr) -> Option<Assembly> {
         let (set, tag) = self.set_and_tag(ptr.xb_ip);
+        self.lookup_at(set, tag, ptr)
+    }
+
+    /// [`XbcArray::lookup`] for an already split `(set, tag)`.
+    #[inline]
+    fn lookup_at(&mut self, set: usize, tag: u64, ptr: &XbPtr) -> Option<Assembly> {
         let asm = self.assemble(set, tag, Some(ptr.mask))?;
-        if asm.total_uops >= ptr.offset as usize {
-            Some(asm)
-        } else {
-            None
-        }
+        (asm.total_uops >= ptr.offset as usize).then_some(asm)
     }
 
     /// Attempts to fetch the XBs pointed to by `ptrs`, in priority order,
@@ -673,8 +742,8 @@ impl XbcArray {
     /// Fetches a single XB within the current cycle's bank budget,
     /// accumulating bank usage into `used`. See [`XbcArray::fetch`].
     pub fn fetch_one(&mut self, ptr: &XbPtr, used: &mut BankMask) -> XbFetch {
-        let (set, _tag) = self.set_and_tag(ptr.xb_ip);
-        let Some(asm) = self.lookup(ptr) else {
+        let (set, tag) = self.set_and_tag(ptr.xb_ip);
+        let Some(asm) = self.lookup_at(set, tag, ptr) else {
             return XbFetch::Miss;
         };
         let needed = (ptr.offset as usize).div_ceil(self.line_uops);
@@ -695,9 +764,9 @@ impl XbcArray {
             fetched += hi - line_lo + 1;
             let stamp = self.bump();
             let idx = self.idx(set, bank, way);
-            if self.meta[idx] & META_VALID != 0 {
-                self.stamps[idx] = stamp;
-            }
+            // Assembled lines are valid: the stamp plane alone is touched.
+            debug_assert!(self.meta[idx] & META_VALID != 0, "assembled line present");
+            self.stamps[idx] = stamp;
         }
         if let Some((bank, way)) = blocked {
             let deferred = ptr.offset as usize - fetched;
@@ -743,7 +812,6 @@ impl XbcArray {
                     let tm = self.meta[tidx];
                     self.meta[tidx] = meta_pack(meta_order(tm), meta_count(tm), 0);
                     self.stats.relocations += 1;
-                    self.touch_structure(set);
                     return;
                 }
             }
@@ -753,6 +821,7 @@ impl XbcArray {
     /// Moves lane `src`'s tag, meta, stamp and arena region onto lane
     /// `dst` (overwriting it) and invalidates `src`.
     fn move_lane(&mut self, src: usize, dst: usize) {
+        self.generation[src / self.lanes] += 1;
         self.tags[dst] = self.tags[src];
         self.meta[dst] = self.meta[src];
         self.stamps[dst] = self.stamps[src];
@@ -764,29 +833,42 @@ impl XbcArray {
     /// Picks the replacement victim within `set`, excluding `forbidden`
     /// banks: free ways first, then head lines by LRU, then middle lines by
     /// LRU (the paper's LRU "makes sure that we do not evict a line other
-    /// than a head line" whenever one exists, §3.10).
+    /// than a head line" whenever one exists, §3.10). Ties go to the lowest
+    /// lane (bank-major, way-minor).
+    ///
+    /// One pass in lane order: whether a line is a head is asked only of
+    /// lines older than the best head so far, so a set whose LRU line is a
+    /// head (the usual case) runs few tag scans.
     fn choose_victim(&self, set: usize, forbidden: BankMask) -> Option<(usize, usize)> {
-        let mut best: Option<((usize, usize), u64)> = None;
-        for bank in 0..self.banks {
-            if forbidden.contains(bank) {
-                continue;
-            }
-            for way in 0..self.ways {
-                let idx = self.idx(set, bank, way);
-                let m = self.meta[idx];
-                let (tier, stamp) = if m & META_VALID == 0 {
-                    (0u64, 0u64)
-                } else {
-                    let is_head = !self.has_order_above(set, self.tags[idx], meta_order(m));
-                    ((if is_head { 1 } else { 2 }), self.stamps[idx])
-                };
-                let cost = (tier << 48) | (stamp & 0xFFFF_FFFF_FFFF);
-                if best.map(|(_, c)| cost < c).unwrap_or(true) {
-                    best = Some(((bank, way), cost));
+        let allowed = !self.lane_mask_of(forbidden) & self.all_lanes();
+        let valid = self.valid_lanes(set);
+        let lane = if allowed & !valid != 0 {
+            (allowed & !valid).trailing_zeros() as usize
+        } else {
+            let base = set * self.lanes;
+            let age = |lane: usize| self.stamps[base + lane] & 0xFFFF_FFFF_FFFF;
+            // `(age, lane)` of the best head and the best middle line.
+            let mut head: Option<(u64, usize)> = None;
+            let mut middle: Option<(u64, usize)> = None;
+            let mut rest = allowed;
+            while rest != 0 {
+                let lane = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let stamp = age(lane);
+                if head.is_some_and(|(s, _)| stamp >= s) {
+                    continue;
+                }
+                let m = self.meta[base + lane];
+                if !self.has_order_above(set, self.tags[base + lane], meta_order(m)) {
+                    head = Some((stamp, lane));
+                } else if middle.is_none_or(|(s, _)| stamp < s) {
+                    middle = Some((stamp, lane));
                 }
             }
-        }
-        best.map(|(slot, _)| slot)
+            head.or(middle)?.1
+        };
+        let (bank, way) = self.lane_coords[lane];
+        Some((bank as usize, way as usize))
     }
 
     /// Frees and returns a slot for a new line, honouring smart placement
@@ -801,43 +883,49 @@ impl XbcArray {
         avoid: BankMask,
     ) -> Option<(usize, usize)> {
         // Free way in a preferred (non-avoided) bank?
-        for bank in 0..self.banks {
-            if forbidden.contains(bank) || avoid.contains(bank) {
-                continue;
-            }
-            for way in 0..self.ways {
-                if self.meta[self.idx(set, bank, way)] & META_VALID == 0 {
-                    return Some((bank, way));
-                }
-            }
+        let preferred = !self.lane_mask_of(forbidden.union(avoid)) & self.all_lanes();
+        let free = preferred & !self.valid_lanes(set);
+        if free != 0 {
+            let (bank, way) = self.lane_coords[free.trailing_zeros() as usize];
+            return Some((bank as usize, way as usize));
         }
         let (vb, vw) = self.choose_victim(set, forbidden)?;
         if self.meta[self.idx(set, vb, vw)] & META_VALID == 0 {
             // Only avoided banks had free ways; accept the conflict.
             return Some((vb, vw));
         }
-        if avoid.contains(vb) {
+        if avoid.contains(vb) && preferred != 0 {
             // Try to keep the new line out of the avoided bank by swapping
-            // the desired bank's LRU occupant into the victim's slot.
-            let desired = (0..self.banks)
-                .filter(|&b| !forbidden.contains(b) && !avoid.contains(b))
-                .flat_map(|b| (0..self.ways).map(move |w| (b, w)))
-                .min_by_key(|&(b, w)| self.stamp_at(self.idx(set, b, w)));
-            if let Some((db, dw)) = desired {
-                self.evict(set, vb, vw);
-                let didx = self.idx(set, db, dw);
-                let vidx = self.idx(set, vb, vw);
-                if self.meta[didx] & META_VALID != 0 {
-                    self.move_lane(didx, vidx);
+            // the desired bank's LRU occupant into the victim's slot. Every
+            // preferred lane is valid here (none was free above); the
+            // first of the least recently used wins.
+            let base = set * self.lanes;
+            let mut rest = preferred;
+            let mut desired: Option<(u64, usize)> = None;
+            while rest != 0 {
+                let lane = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let stamp = self.stamps[base + lane];
+                if desired.is_none_or(|(s, _)| stamp < s) {
+                    desired = Some((stamp, lane));
                 }
-                self.touch_structure(set);
-                return Some((db, dw));
             }
+            let (db, dw) = self.lane_coords[desired.expect("preferred lanes exist").1];
+            let (db, dw) = (db as usize, dw as usize);
+            self.evict(set, vb, vw);
+            let didx = self.idx(set, db, dw);
+            let vidx = self.idx(set, vb, vw);
+            if self.meta[didx] & META_VALID != 0 {
+                self.move_lane(didx, vidx);
+            }
+            return Some((db, dw));
         }
         self.evict(set, vb, vw);
         Some((vb, vw))
     }
 
+    /// True if a valid line of `tag` in `set` has order `order + 1` (the
+    /// line at `order` is then not its XB's head).
     fn has_order_above(&self, set: usize, tag: u64, order: u8) -> bool {
         let mut bits = self.match_lanes(set, tag);
         let base = set * self.lanes;
@@ -863,7 +951,7 @@ impl XbcArray {
             return;
         }
         self.meta[idx] = 0;
-        self.touch_structure(set);
+        self.generation[set] += 1;
         self.stats.evicted_lines += 1;
         let (tag, order) = (self.tags[idx], meta_order(m));
         // Invalidate same-tag lines with orders above the hole.
@@ -905,7 +993,6 @@ impl XbcArray {
         let len = uops.len();
         assert!(len <= self.banks * self.line_uops, "XB of {len} uops exceeds the fetch width");
         let (set, tag) = self.set_and_tag(xb_ip);
-        self.touch_structure(set);
         let n = len.div_ceil(self.line_uops);
         assert!(skip_orders <= n, "cannot skip more lines than the XB has");
         let mut forbidden = suffix_mask;
@@ -929,6 +1016,7 @@ impl XbcArray {
     /// Writes one whole line: tag/meta/stamp lanes plus the right-aligned
     /// arena region. `content` is the line's uops in program order.
     fn write_line(&mut self, idx: usize, tag: u64, order: u8, stamp: u64, content: &[Uop]) {
+        self.generation[idx / self.lanes] += 1;
         let l = self.line_uops;
         debug_assert!(!content.is_empty() && content.len() <= l);
         self.tags[idx] = tag;
@@ -956,7 +1044,6 @@ impl XbcArray {
         avoid: BankMask,
     ) -> BankMask {
         let (set, tag) = self.set_and_tag(xb_ip);
-        self.touch_structure(set);
         let old_len = asm.total_uops;
         let new_len = old_len + extra.len();
         assert!(
@@ -988,6 +1075,7 @@ impl XbcArray {
                 self.arena[idx * l + (l - new_count)..idx * l + (l - count)]
                     .copy_from_slice(&extra[src_hi - filled..src_hi]);
                 self.meta[idx] = meta_pack(meta_order(m), new_count, meta_conflicts(m));
+                self.generation[set] += 1;
             }
             self.stamps[idx] = stamp;
         }

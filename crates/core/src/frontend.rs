@@ -378,19 +378,18 @@ impl XbcFrontend {
     fn select_successor<S: EventSink>(
         &mut self,
         xb_ip: Addr,
-        slot: Option<u32>,
+        entry: Option<(u32, XbEndKind)>,
         d_end: &DynInst,
         probe: &mut Probe<'_, S>,
     ) -> (Option<XbPtr>, bool, bool) {
         // The caller already probed the slot; only the statistics/LRU
         // side of a `get` remains to be applied here.
-        probe.note(|| Event::Lookup { what: LookupKind::Xbtb, hit: slot.is_some() });
-        let Some(slot) = slot else {
+        probe.note(|| Event::Lookup { what: LookupKind::Xbtb, hit: entry.is_some() });
+        let Some((slot, kind)) = entry else {
             self.xbtb.note_miss();
             return (None, true, false);
         };
         self.xbtb.touch_hit(slot);
-        let kind = self.xbtb.at(slot).kind;
         match kind {
             XbEndKind::Fall => (self.xbtb.at(slot).taken, true, false),
             XbEndKind::Cond => {
@@ -413,13 +412,14 @@ impl XbcFrontend {
                         (next, false, true)
                     }
                 } else {
-                    let pred = self.preds.dir.predict(xb_ip);
-                    self.preds.dir.update(xb_ip, taken);
+                    // `update` reports whether the pre-update state
+                    // predicted `taken`: the prediction, judged.
+                    let correct = self.preds.dir.update(xb_ip, taken);
                     let e = self.xbtb.at_mut(slot);
                     e.bias.update(taken);
                     Self::refresh_promotion(&self.cfg, e, probe);
                     let next = self.xbtb.at(slot).successor(taken);
-                    if pred == taken {
+                    if correct {
                         (next, true, false)
                     } else {
                         probe.emit(Event::Mispredict(MispredictKind::Cond));
@@ -495,12 +495,11 @@ impl XbcFrontend {
     /// resolves in direction `taken` (for set-search write-backs).
     fn successor_source(&mut self, xb_ip: Addr, taken: bool) -> Option<LinkFrom> {
         let slot = self.xbtb.probe_slot(xb_ip)?;
-        self.successor_source_at(slot, xb_ip, taken)
+        self.successor_source_of(self.xbtb.at(slot).kind, xb_ip, taken)
     }
 
-    /// [`XbcFrontend::successor_source`] for an already-probed slot.
-    fn successor_source_at(&mut self, slot: u32, xb_ip: Addr, taken: bool) -> Option<LinkFrom> {
-        let kind = self.xbtb.at(slot).kind;
+    /// [`XbcFrontend::successor_source`] for an entry of end kind `kind`.
+    fn successor_source_of(&self, kind: XbEndKind, xb_ip: Addr, taken: bool) -> Option<LinkFrom> {
         Some(match kind {
             XbEndKind::Cond => LinkFrom::Slot { xb_ip, taken },
             XbEndKind::Call | XbEndKind::Fall => LinkFrom::Slot { xb_ip, taken: true },
@@ -545,12 +544,14 @@ impl XbcFrontend {
 
     /// Resolves the end of a fully fetched XB: picks the successor pointer,
     /// schedules penalties / build switches, and reports whether fetch may
-    /// chain on within this cycle.
+    /// chain on within this cycle. `entry` is the XB's XBTB slot and end
+    /// kind, read before the fetch (nothing between can move entries).
     fn resolve_xb_end<S: EventSink>(
         &mut self,
         oracle: &OracleStream<'_>,
         window: usize,
         ptr: XbPtr,
+        entry: Option<(u32, XbEndKind)>,
         probe: &mut Probe<'_, S>,
     ) -> EndAction {
         let Some((d_end, _)) = oracle.window_end(window) else {
@@ -576,11 +577,11 @@ impl XbcFrontend {
 
         // One probe covers every same-entry access below (allocation — the
         // only thing that can move entries — cannot happen mid-resolve).
-        let slot = self.xbtb.probe_slot(ptr.xb_ip);
-        let src = slot.and_then(|s| self.successor_source_at(s, ptr.xb_ip, d_end.taken));
-        let (next, consumed, mispredicted) = self.select_successor(ptr.xb_ip, slot, &d_end, probe);
+        let src =
+            entry.and_then(|(_, kind)| self.successor_source_of(kind, ptr.xb_ip, d_end.taken));
+        let (next, consumed, mispredicted) = self.select_successor(ptr.xb_ip, entry, &d_end, probe);
 
-        let Some(slot) = slot else {
+        let Some((slot, _)) = entry else {
             // XBTB miss: must rebuild through the IC path (§3.5).
             self.after_drain = Some(AfterDrain { penalty: 0, build: Some(D2bCause::XbtbMiss) });
             self.cur = None;
@@ -713,6 +714,9 @@ impl XbcFrontend {
                     continue;
                 }
             }
+            // Read ahead of the fetch so the XBTB's loads overlap the
+            // array's; only a full fetch resolves the XB's end with it.
+            let entry = self.xbtb.probe_slot(ptr.xb_ip).map(|s| (s, self.xbtb.at(s).kind));
             match self.array.fetch_one(&ptr, &mut used) {
                 XbFetch::Miss => {
                     if self.cfg.set_search {
@@ -756,7 +760,7 @@ impl XbcFrontend {
                 }
                 XbFetch::Full => {
                     accepted += ptr.offset as usize;
-                    match self.resolve_xb_end(oracle, base + accepted, ptr, probe) {
+                    match self.resolve_xb_end(oracle, base + accepted, ptr, entry, probe) {
                         EndAction::Stop => break,
                         EndAction::Continue { free } => {
                             if !free {
@@ -837,17 +841,9 @@ impl XbcFrontend {
         }
         // Drain through the renamer.
         let budget = self.cfg.timing.renamer_width.min(self.pending_uops);
-        let mut delivered = 0usize;
-        while delivered < budget {
-            let n = oracle.take_uops(budget - delivered);
-            if n == 0 {
-                // Trace exhausted mid-queue.
-                self.pending_uops = delivered;
-                break;
-            }
-            delivered += n;
-        }
-        self.pending_uops -= delivered;
+        let delivered = oracle.drain_uops(budget);
+        // A short drain means the trace ended mid-queue.
+        self.pending_uops = if delivered < budget { 0 } else { self.pending_uops - delivered };
         if delivered > 0 {
             probe.emit(Event::Uops {
                 src: UopSource::Structure,
@@ -874,6 +870,11 @@ impl XbcFrontend {
         let built = self.xfu.take_done();
         let mut last: Option<(XbPtr, InstallKind, DynInst)> = None;
         for b in &built {
+            let end = *b.end();
+            let end_kind = XbEndKind::from_branch(end.inst.branch);
+            // The XBTB entry comes first: its cache misses then overlap
+            // the array's, and the install touches no XBTB state.
+            let slot = self.xbtb.allocate_slot(b.end_ip(), end_kind);
             let avoid = if self.cfg.smart_placement { self.last_mask } else { BankMask::EMPTY };
             let evicted_before = self.array.stats().evicted_lines;
             let (ptr, kind) = install_with(b, &mut self.array, avoid, &mut self.install_scratch);
@@ -896,17 +897,15 @@ impl XbcFrontend {
                 uops: self.array.stored_uops() as u32,
             });
             self.last_mask = ptr.mask;
-            let end = *b.end();
-            let end_kind = XbEndKind::from_branch(end.inst.branch);
-            self.xbtb.allocate(ptr.xb_ip, end_kind);
-            // Heal the predecessor's pointer.
+            // Heal the predecessor's pointer (a write, never an allocation,
+            // so `slot` stays valid).
             self.apply_link(ptr);
             // End-of-XB bookkeeping. Branch *predictor* updates already
             // happened inside the build engine; here only XBTB-side state
             // moves: bias counters, XRSB frames, the successor link slot.
             match end_kind {
                 XbEndKind::Cond => {
-                    let e = self.xbtb.get_mut(ptr.xb_ip).expect("allocated");
+                    let e = self.xbtb.at_mut(slot);
                     e.bias.update(end.taken);
                     Self::refresh_promotion(&self.cfg, e, probe);
                     self.link_from = Some(LinkFrom::Slot { xb_ip: ptr.xb_ip, taken: end.taken });
@@ -1242,6 +1241,36 @@ mod tests {
             "1 XB/cycle {} vs 2 XBs/cycle {}",
             m1.delivery_bandwidth(),
             m2.delivery_bandwidth()
+        );
+    }
+
+    /// One 64-way bank is a legal geometry and must serve like any other
+    /// associativity. Its lane mask is all 64 bits; computing it as
+    /// `(1 << ways) - 1` overflowed (a debug panic, and in release an empty
+    /// mask, so every pointer lookup missed).
+    #[test]
+    fn one_bank_of_64_ways_serves_like_32_ways() {
+        let t = standard_traces()[0].capture(20_000);
+        let run = |ways| {
+            let cfg = XbcConfig {
+                total_uops: 8192,
+                banks: 1,
+                ways,
+                line_uops: 16,
+                ..XbcConfig::default()
+            };
+            XbcFrontend::new(cfg).run(&t)
+        };
+        let (m64, m32) = (run(64), run(32));
+        assert_eq!(m64.total_uops(), t.uop_count());
+        assert!(
+            m64.structure_uops >= m32.structure_uops
+                && m64.structure_misses <= m32.structure_misses,
+            "64 ways: {} structure uops, {} misses; 32 ways: {}, {}",
+            m64.structure_uops,
+            m64.structure_misses,
+            m32.structure_uops,
+            m32.structure_misses
         );
     }
 

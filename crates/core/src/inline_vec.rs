@@ -29,12 +29,14 @@ use std::ops::{Deref, DerefMut};
 #[derive(Clone, Copy)]
 pub struct InlineVec<T: Copy + Default, const N: usize> {
     buf: [T; N],
-    len: usize,
+    /// Elements in use; a byte, so small vectors stay small (`N <= 255`).
+    len: u8,
 }
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Creates an empty vector.
     pub fn new() -> Self {
+        const { assert!(N <= u8::MAX as usize, "InlineVec holds at most 255 elements") };
         InlineVec { buf: [T::default(); N], len: 0 }
     }
 
@@ -44,8 +46,8 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     ///
     /// Panics if the vector already holds `N` elements.
     pub fn push(&mut self, value: T) {
-        assert!(self.len < N, "InlineVec capacity {N} exceeded");
-        self.buf[self.len] = value;
+        assert!((self.len as usize) < N, "InlineVec capacity {N} exceeded");
+        self.buf[self.len as usize] = value;
         self.len += 1;
     }
 
@@ -55,7 +57,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             return None;
         }
         self.len -= 1;
-        Some(self.buf[self.len])
+        Some(self.buf[self.len as usize])
     }
 
     /// Removes all elements.
@@ -65,8 +67,8 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Shortens the vector to at most `len` elements.
     pub fn truncate(&mut self, len: usize) {
-        if len < self.len {
-            self.len = len;
+        if len < self.len as usize {
+            self.len = len as u8;
         }
     }
 }
@@ -80,13 +82,13 @@ impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
 impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        &self.buf[..self.len]
+        &self.buf[..self.len as usize]
     }
 }
 
 impl<T: Copy + Default, const N: usize> DerefMut for InlineVec<T, N> {
     fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.buf[..self.len]
+        &mut self.buf[..self.len as usize]
     }
 }
 

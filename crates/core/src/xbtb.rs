@@ -273,6 +273,13 @@ impl Xbtb {
     /// LRU entry) if needed. An existing entry keeps its pointers but its
     /// `kind` is refreshed.
     pub fn allocate(&mut self, xb_ip: Addr, kind: XbEndKind) -> &mut XbtbEntry {
+        let slot = self.allocate_slot(xb_ip, kind);
+        self.at_mut(slot)
+    }
+
+    /// [`Xbtb::allocate`], returning the entry's slot (valid until the
+    /// next allocation) instead of a borrow.
+    pub(crate) fn allocate_slot(&mut self, xb_ip: Addr, kind: XbEndKind) -> u32 {
         self.stamp += 1;
         let stamp = self.stamp;
         let i = match self.find(xb_ip) {
@@ -298,9 +305,8 @@ impl Xbtb {
             }
         };
         self.lru[i] = stamp;
-        let e = &mut self.pool[self.pool_idx[i] as usize];
-        e.kind = kind;
-        e
+        self.pool[self.pool_idx[i] as usize].kind = kind;
+        i as u32
     }
 
     /// Statistics so far.

@@ -15,7 +15,7 @@
 use crate::array::XbcArray;
 use crate::ptr::{BankMask, XbPtr};
 use xbc_frontend::FillSink;
-use xbc_isa::{decode_into, Uop};
+use xbc_isa::{decode_into, decode_slot, Uop};
 use xbc_workload::DynInst;
 
 /// A finalized extended block, straight from the committed path.
@@ -66,6 +66,15 @@ impl BuiltXb {
         }
     }
 
+    /// The decoded uop sequence backwards, last uop first, decoded one
+    /// uop at a time as it is read.
+    pub(crate) fn uops_rev(&self) -> impl Iterator<Item = Uop> + '_ {
+        self.insts
+            .iter()
+            .rev()
+            .flat_map(|d| (0..d.inst.uops).rev().map(|s| decode_slot(&d.inst, s)))
+    }
+
     /// The instruction buffer, emptied for reuse.
     fn into_empty_insts(self) -> Vec<DynInst> {
         let mut insts = self.insts;
@@ -74,12 +83,11 @@ impl BuiltXb {
     }
 }
 
-/// Reusable buffers for [`install_with`], owned by the caller so repeated
+/// Reusable buffer for [`install_with`], owned by the caller so repeated
 /// installs do not re-allocate (DESIGN.md §12).
 #[derive(Clone, Debug, Default)]
 pub struct InstallScratch {
     uops: Vec<Uop>,
-    stored: Vec<Uop>,
 }
 
 /// How [`install`] stored a built XB.
@@ -104,61 +112,60 @@ pub fn install(built: &BuiltXb, array: &mut XbcArray, avoid: BankMask) -> (XbPtr
     install_with(built, array, avoid, &mut InstallScratch::default())
 }
 
-/// [`install`] with caller-owned scratch buffers: the decoded block and the
-/// stored-XB readback land in `scratch` instead of fresh allocations.
+/// [`install`] with a caller-owned scratch buffer for the decoded block.
+///
+/// The block is first compared with the stored XB of its tag in place,
+/// last uop first, decoding one uop at a time; a block the array already
+/// holds (the common case, an XBC hit) is never decoded whole nor copied.
 pub fn install_with(
     built: &BuiltXb,
     array: &mut XbcArray,
     avoid: BankMask,
     scratch: &mut InstallScratch,
 ) -> (XbPtr, InstallKind) {
-    scratch.uops.clear();
-    built.uops_into(&mut scratch.uops);
-    let uops = &scratch.uops[..];
-    let len = uops.len();
+    let len = built.uop_count();
     debug_assert!(len >= 1);
     let end_ip = built.end_ip();
     let (set, tag) = array.set_and_tag(end_ip);
     let line_uops = array.line_uops();
+    let ptr = |mask| XbPtr::new(end_ip, built.entry_ip(), mask, len as u8);
 
-    let Some(asm) = array.assemble(set, tag, None) else {
-        let mask = array.insert(end_ip, uops, 0, BankMask::EMPTY, avoid);
-        return (XbPtr::new(end_ip, built.entry_ip(), mask, len as u8), InstallKind::Fresh);
-    };
-
-    scratch.stored.clear();
-    array.read_uops_into(set, &asm, &mut scratch.stored);
-    let stored = &scratch.stored[..];
+    let asm = array.assemble(set, tag, None);
     // Length of the common suffix between the stored XB and the new one.
-    let common = stored.iter().rev().zip(uops.iter().rev()).take_while(|(a, b)| a == b).count();
-
-    if common >= len {
-        // Contained: the new XB is a suffix of the stored one.
-        let needed = len.div_ceil(line_uops);
+    let common = asm.map_or(0, |asm| array.common_suffix(set, &asm, built.uops_rev()));
+    let mask_of = |lines: &[(u8, u8)]| {
         let mut mask = BankMask::EMPTY;
-        for &(bank, _) in &asm.lines[..needed] {
+        for &(bank, _) in lines {
             mask.insert(bank as usize);
         }
-        (XbPtr::new(end_ip, built.entry_ip(), mask, len as u8), InstallKind::Contained)
-    } else if common == stored.len() {
+        mask
+    };
+    let Some(asm) = asm else {
+        scratch.uops.clear();
+        built.uops_into(&mut scratch.uops);
+        let mask = array.insert(end_ip, &scratch.uops, 0, BankMask::EMPTY, avoid);
+        return (ptr(mask), InstallKind::Fresh);
+    };
+    if common >= len {
+        // Contained: the new XB is a suffix of the stored one.
+        return (ptr(mask_of(&asm.lines[..len.div_ceil(line_uops)])), InstallKind::Contained);
+    }
+    scratch.uops.clear();
+    built.uops_into(&mut scratch.uops);
+    let uops = &scratch.uops[..];
+    if common == asm.total_uops {
         // Extension: stored XB is a suffix of the new one.
-        let extra = &uops[..len - stored.len()];
+        let extra = &uops[..len - asm.total_uops];
         let mask = array.extend(end_ip, &asm, extra, avoid);
-        (XbPtr::new(end_ip, built.entry_ip(), mask, len as u8), InstallKind::Extended)
+        (ptr(mask), InstallKind::Extended)
     } else {
         // Complex: same suffix, different prefix. Share whole suffix lines;
         // rewrite from the first divergent line up (a partially-shared line
         // is duplicated — the "nearly redundancy free" caveat).
         let shared_lines = common / line_uops;
-        let mut suffix_mask = BankMask::EMPTY;
-        for &(bank, _) in &asm.lines[..shared_lines] {
-            suffix_mask.insert(bank as usize);
-        }
+        let suffix_mask = mask_of(&asm.lines[..shared_lines]);
         let added = array.insert(end_ip, uops, shared_lines, suffix_mask, avoid);
-        (
-            XbPtr::new(end_ip, built.entry_ip(), suffix_mask.union(added), len as u8),
-            InstallKind::Complex,
-        )
+        (ptr(suffix_mask.union(added)), InstallKind::Complex)
     }
 }
 

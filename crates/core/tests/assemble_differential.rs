@@ -1,12 +1,16 @@
-//! Differential property test for the memoized assembly path.
+//! Differential property test for the fast assembly path.
 //!
-//! `XbcArray::assemble` memoizes unambiguous assemblies behind a per-set
-//! structural generation and reuses scratch buffers; the allocating
-//! `assemble_reference` recomputes from the tag array every call. Across
-//! seeded random histories of inserts, extensions, fetches (which churn
-//! the LRU stamps that order ambiguous candidates), and LRU demotions,
-//! every probe must agree — a stale memo hit, a missed generation bump,
-//! or dirty scratch state all show up as a divergence here.
+//! `XbcArray::assemble` walks unambiguous sets as a chain, caches recent
+//! unambiguous results behind a per-set structural generation, and runs
+//! ambiguous sets through a search over reused scratch buffers; the
+//! allocating `assemble_reference` recomputes from the tag array every
+//! call. Across seeded random histories of inserts, extensions, fetches
+//! (which churn the LRU stamps that order ambiguous candidates), and LRU
+//! demotions, every probe must agree — a stale cache hit, a missed
+//! generation bump, a wrong chain walk or dirty scratch state all show up
+//! as a divergence here. The histories run on geometries whose set counts
+//! are not powers of two and on every associativity from 1 way to a
+//! single 64-way bank.
 
 use xbc::{BankMask, XbPtr, XbcArray, XbcConfig};
 use xbc_isa::{Addr, BranchKind, Uop, UopId, UopKind};
@@ -34,12 +38,34 @@ fn mk_uops(base: u64, len: usize) -> Vec<Uop> {
         .collect()
 }
 
+/// `(total_uops, banks, ways, line_uops)`: the paper's bank shape at 8, 3
+/// and 96 sets; 1, 4 and 16 ways; and one 64-way bank (a full 64-bit lane
+/// mask).
+const GEOMETRIES: [(usize, usize, usize, usize); 7] = [
+    (256, 4, 2, 4),
+    (96, 4, 2, 4),
+    (3072, 4, 2, 4),
+    (80, 4, 1, 4),
+    (192, 4, 4, 4),
+    (512, 4, 16, 4),
+    (2048, 1, 64, 16),
+];
+
 #[test]
-fn memoized_assemble_matches_reference_across_random_histories() {
-    for seed in 0..8u64 {
+fn fast_assemble_matches_reference_across_random_histories() {
+    for (total_uops, banks, ways, line_uops) in GEOMETRIES {
+        let cfg = XbcConfig { total_uops, banks, ways, line_uops, ..XbcConfig::default() };
+        cfg.check().unwrap_or_else(|e| panic!("{total_uops}/{banks}x{ways}x{line_uops}: {e}"));
+        for seed in 0..8u64 {
+            random_history(&cfg, seed);
+        }
+    }
+}
+
+fn random_history(cfg: &XbcConfig, seed: u64) {
+    {
         let mut rng = Rng(0x5eed_0000 + seed);
-        let cfg = XbcConfig { total_uops: 256, ..XbcConfig::default() };
-        let mut a = XbcArray::new(&cfg);
+        let mut a = XbcArray::new(cfg);
         let width = a.banks() * a.line_uops();
         // IPs drawn from a small pool so re-inserts of the same tag (the
         // ambiguous, non-memoizable case) happen regularly.
@@ -165,11 +191,12 @@ fn memoized_assemble_matches_reference_across_random_histories() {
                     Some(m)
                 };
                 let reference = a.assemble_reference(set, tag, within);
-                let memoized = a.assemble(set, tag, within);
+                let fast = a.assemble(set, tag, within);
                 assert_eq!(
-                    memoized, reference,
+                    fast, reference,
                     "divergence at seed {seed} step {step} probe {probe} \
-                     (set {set}, tag {tag:#x}, within {within:?})"
+                     (set {set}, tag {tag:#x}, within {within:?}; {} uops, {}x{}x{})",
+                    cfg.total_uops, cfg.banks, cfg.ways, cfg.line_uops
                 );
             }
         }

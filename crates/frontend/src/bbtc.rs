@@ -413,16 +413,8 @@ impl BbtcFrontend {
             self.pending_resteer = resteer;
         }
         let budget = self.cfg.timing.renamer_width.min(self.pending_uops);
-        let mut delivered = 0;
-        while delivered < budget {
-            let n = oracle.take_uops(budget - delivered);
-            if n == 0 {
-                self.pending_uops = delivered;
-                break;
-            }
-            delivered += n;
-        }
-        self.pending_uops -= delivered;
+        let delivered = oracle.drain_uops(budget);
+        self.pending_uops = if delivered < budget { 0 } else { self.pending_uops - delivered };
         if delivered > 0 {
             probe.emit(Event::Uops {
                 src: UopSource::Structure,

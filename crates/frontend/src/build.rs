@@ -73,9 +73,14 @@ impl Predictors {
         match d.inst.branch {
             BranchKind::None => true,
             BranchKind::CondDirect => {
-                let predicted = btb_known && self.dir.predict(ip);
-                self.dir.update(ip, d.taken);
-                predicted == d.taken
+                // `update` judges the pre-update prediction; a branch the
+                // BTB does not know is predicted not taken.
+                let correct = self.dir.update(ip, d.taken);
+                if btb_known {
+                    correct
+                } else {
+                    !d.taken
+                }
             }
             BranchKind::UncondDirect => btb_known,
             BranchKind::CallDirect => {

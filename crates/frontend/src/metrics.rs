@@ -162,6 +162,7 @@ impl FrontendMetrics {
     /// identical to `n` calls of `apply_event(&Event::Cycle(kind))`.
     /// `Probe::emit_cycles` uses this so bulk stall retirement does not
     /// loop over the counters.
+    #[inline]
     pub fn apply_cycles(&mut self, kind: CycleKind, n: u64) {
         self.cycles += n;
         match kind {
@@ -179,6 +180,7 @@ impl FrontendMetrics {
     /// counters cannot disagree: they are the same arithmetic.
     /// Observability-only events (`Lookup`, `Fill`, `Eviction`,
     /// `Occupancy`) are no-ops here.
+    #[inline]
     pub fn apply_event(&mut self, e: &Event) {
         match e {
             Event::Cycle(kind) => {

@@ -19,14 +19,17 @@ use xbc_isa::Addr;
 use xbc_workload::{DynInst, InstSource, Trace};
 
 /// Default sliding-window capacity of a streaming cursor, in
-/// instructions (~1.5 MiB of buffered `DynInst`s).
-pub const DEFAULT_STREAM_WINDOW: usize = 32 * 1024;
+/// instructions (384 KiB of buffered `DynInst`s): small enough that the
+/// window a refill writes is still in a core's L2 cache when the replay
+/// reads it.
+pub const DEFAULT_STREAM_WINDOW: usize = 8 * 1024;
 
 /// Default guaranteed lookahead of a streaming cursor, in instructions.
 /// Far beyond what any frontend in this workspace peeks: the deepest
 /// lookahead is `window_end` over one XB (≤ fetch budget + a `u8` uop
-/// offset, so ≤ ~300 instructions even at one uop each).
-pub const DEFAULT_STREAM_LOOKAHEAD: usize = 4 * 1024;
+/// offset, so ≤ ~300 instructions even at one uop each). A refill moves
+/// at most this many unread instructions to the window's front.
+pub const DEFAULT_STREAM_LOOKAHEAD: usize = 1024;
 
 /// A uop-granular cursor over a trace's committed instructions.
 ///
@@ -174,53 +177,53 @@ impl<'a> OracleStream<'a> {
         }
     }
 
-    /// The instruction at absolute index `abs`, from whichever backing
-    /// is active. Streaming: `abs` must stay within the lookahead
-    /// contract (asserted); past-the-end reads return `None` only at the
-    /// true end of the stream. Reads *behind* the window (an index whose
-    /// instruction was already drained) are a caller bug and panic with
-    /// a dedicated message — before this check, `abs - base` wrapped to
-    /// a huge offset and the read was indistinguishable from running off
-    /// the end, silently returning `None` at EOF.
+    /// Every buffered instruction from the cursor on, the current one
+    /// first: the rest of the trace (resident) or of the window
+    /// (streaming). Lookahead walks this slice instead of indexing the
+    /// backing once per instruction.
     #[inline]
-    fn at(&self, abs: usize) -> Option<&DynInst> {
+    fn ahead(&self) -> &[DynInst] {
         match self.source {
-            None => self.insts.get(abs),
-            Some(_) => {
-                assert!(
-                    abs >= self.base,
-                    "streaming oracle read behind the window: instruction {abs} was already \
-                     drained (window starts at {})",
-                    self.base
-                );
-                match self.window.get(abs - self.base) {
-                    Some(d) => Some(d),
-                    None => {
-                        assert!(
-                            self.eof,
-                            "streaming oracle lookahead exceeded: instruction {} is {} past the \
-                             cursor but only {} are guaranteed (raise the window)",
-                            abs,
-                            abs - self.pos,
-                            self.lookahead
-                        );
-                        None
-                    }
-                }
-            }
+            None => &self.insts[self.pos..],
+            Some(_) => &self.window[self.pos - self.base..],
         }
+    }
+
+    /// A read ran off the buffered instructions at absolute index `abs`:
+    /// fine at the true end of the stream, a broken lookahead contract
+    /// (and a loud panic) anywhere else.
+    #[cold]
+    fn past_buffer(&self, abs: usize) {
+        assert!(
+            self.eof,
+            "streaming oracle lookahead exceeded: instruction {} is {} past the cursor but only \
+             {} are guaranteed (raise the window)",
+            abs,
+            abs - self.pos,
+            self.lookahead
+        );
     }
 
     /// The current (not yet fully delivered) instruction, or `None` at end.
     #[inline]
     pub fn current(&self) -> Option<&DynInst> {
-        self.at(self.pos)
+        self.peek(0)
     }
 
     /// Looks ahead `k` whole instructions past the current one.
+    ///
+    /// Streaming: `k` must stay within the lookahead contract; a read
+    /// past the window panics unless the stream has truly ended, where it
+    /// returns `None` exactly like the resident backing.
     #[inline]
     pub fn peek(&self, k: usize) -> Option<&DynInst> {
-        self.at(self.pos + k)
+        match self.ahead().get(k) {
+            Some(d) => Some(d),
+            None => {
+                self.past_buffer(self.pos + k);
+                None
+            }
+        }
     }
 
     /// Index of the current instruction.
@@ -272,6 +275,7 @@ impl<'a> OracleStream<'a> {
     /// Delivers up to `budget` uops of the *current instruction only*.
     /// Returns the number delivered; advances to the next instruction when
     /// the current one completes.
+    #[inline]
     pub fn take_uops(&mut self, budget: usize) -> usize {
         let Some(d) = self.current() else { return 0 };
         let uops = d.inst.uops;
@@ -289,8 +293,59 @@ impl<'a> OracleStream<'a> {
         n
     }
 
+    /// Delivers up to `budget` uops, crossing instruction boundaries —
+    /// the same uops as repeating [`take_uops`] until `budget` is spent
+    /// or the trace ends, in one walk over the buffered instructions.
+    /// Returns the number delivered (less than `budget` only at the end
+    /// of the trace).
+    ///
+    /// [`take_uops`]: OracleStream::take_uops
+    pub fn drain_uops(&mut self, budget: usize) -> usize {
+        let mut left = budget;
+        loop {
+            let ahead = self.ahead();
+            let mut whole = 0usize;
+            let mut uop_pos = self.uop_pos as usize;
+            for d in ahead {
+                let rest = d.inst.uops as usize - uop_pos;
+                if rest > left {
+                    uop_pos += left;
+                    left = 0;
+                    break;
+                }
+                left -= rest;
+                uop_pos = 0;
+                whole += 1;
+                if left == 0 {
+                    break;
+                }
+            }
+            let buffered = ahead.len();
+            self.pos += whole;
+            self.uop_pos = uop_pos as u8;
+            if self.source.is_some() && whole > 0 {
+                self.refill();
+            }
+            // More to deliver past the buffer: the window just refilled
+            // (streaming), or the trace is over.
+            if left == 0 || whole < buffered || self.eof_at_cursor() {
+                break;
+            }
+        }
+        self.delivered_uops += (budget - left) as u64;
+        budget - left
+    }
+
+    /// True when nothing is buffered past the cursor and nothing more
+    /// will arrive.
+    #[inline]
+    fn eof_at_cursor(&self) -> bool {
+        self.ahead().is_empty() && (self.source.is_none() || self.eof)
+    }
+
     /// Delivers the rest of the current instruction unconditionally
     /// (convenience for engines that treat instructions atomically).
+    #[inline]
     pub fn take_inst(&mut self) -> usize {
         self.take_uops(usize::MAX)
     }
@@ -322,18 +377,17 @@ impl<'a> OracleStream<'a> {
             }
             return None;
         }
-        let mut remaining = window_uops;
-        let mut j = 0usize;
-        loop {
-            let d = self.at(self.pos + j)?;
-            let avail =
-                if j == 0 { (d.inst.uops - self.uop_pos) as usize } else { d.inst.uops as usize };
-            if remaining <= avail {
-                return if remaining == avail { Some((d, j)) } else { None };
+        let ahead = self.ahead();
+        let mut remaining = window_uops + self.uop_pos as usize;
+        for (j, d) in ahead.iter().enumerate() {
+            let uops = d.inst.uops as usize;
+            if remaining <= uops {
+                return if remaining == uops { Some((d, j)) } else { None };
             }
-            remaining -= avail;
-            j += 1;
+            remaining -= uops;
         }
+        self.past_buffer(self.pos + ahead.len());
+        None
     }
 }
 
@@ -476,6 +530,33 @@ mod tests {
     }
 
     #[test]
+    fn drain_uops_matches_repeated_take_uops() {
+        let t = long_trace(5_000);
+        let mut src = IterSource::new(t.insts().iter().copied());
+        // Budgets past the whole window force refills mid-drain.
+        let mut s = OracleStream::streaming_with_window(&mut src, 64, 16);
+        let mut r = OracleStream::new(&t);
+        let mut k = 0usize;
+        while !r.done() {
+            let budget = [1, 3, 8, 17, 200][k % 5];
+            let mut want = 0;
+            while want < budget {
+                let n = r.take_uops(budget - want);
+                if n == 0 {
+                    break;
+                }
+                want += n;
+            }
+            assert_eq!(s.drain_uops(budget), want, "step {k}");
+            assert_eq!((s.inst_index(), s.uop_offset()), (r.inst_index(), r.uop_offset()));
+            assert_eq!(s.delivered_uops(), r.delivered_uops());
+            k += 1;
+        }
+        assert!(s.done());
+        assert_eq!(s.drain_uops(8), 0);
+    }
+
+    #[test]
     fn streaming_window_stays_bounded() {
         let t = long_trace(3_000);
         let mut src = IterSource::new(t.insts().iter().copied());
@@ -520,24 +601,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "behind the window")]
-    fn streaming_behind_the_window_read_panics() {
-        let t = long_trace(1_000);
-        let mut src = IterSource::new(t.insts().iter().copied());
-        let mut s = OracleStream::streaming_with_window(&mut src, 16, 4);
-        // Drain far enough that the consumed prefix is dropped and the
-        // window base advances past instruction 0.
-        for _ in 0..100 {
-            s.take_inst();
-        }
-        assert!(s.base > 0, "the window base must have advanced");
-        // An absolute index below the base is a drained instruction.
-        // Before the explicit check, `abs - base` wrapped to a huge
-        // offset — indistinguishable from running off the window's end.
-        let _ = s.at(0);
-    }
-
-    #[test]
     fn streaming_in_window_reads_still_resolve() {
         let t = long_trace(1_000);
         let mut src = IterSource::new(t.insts().iter().copied());
@@ -548,7 +611,7 @@ mod tests {
         assert!(s.base > 0);
         // The cursor itself and everything within the lookahead contract
         // stay readable after the base has advanced.
-        assert_eq!(s.at(s.pos).unwrap(), &t.insts()[100]);
+        assert_eq!(s.current().unwrap(), &t.insts()[100]);
         assert_eq!(s.peek(3).unwrap(), &t.insts()[103]);
     }
 }

@@ -453,12 +453,8 @@ impl TraceCacheFrontend {
         }
         // Push up to renamer-width uops of the accepted segment.
         let budget = self.cfg.timing.renamer_width.min(self.pending_uops);
-        let mut delivered = 0;
-        while delivered < budget {
-            let n = oracle.take_uops(budget - delivered);
-            debug_assert!(n > 0, "oracle drained while pending uops remain");
-            delivered += n;
-        }
+        let delivered = oracle.drain_uops(budget);
+        debug_assert_eq!(delivered, budget, "oracle drained while pending uops remain");
         self.pending_uops -= delivered;
         if delivered > 0 {
             probe.emit(Event::Uops {

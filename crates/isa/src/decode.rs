@@ -36,13 +36,23 @@ pub fn decode(inst: &Inst) -> Vec<Uop> {
 /// form of [`decode`], for fill paths that must not allocate per
 /// instruction.
 pub fn decode_into(inst: &Inst, out: &mut Vec<Uop>) {
-    let n = inst.uops as usize;
-    for slot in 0..n {
-        let last = slot + 1 == n;
-        let kind = uop_kind_for_slot(inst, slot, last);
-        let branch = if last { inst.branch } else { BranchKind::None };
-        out.push(Uop::new(UopId::new(inst.ip, slot as u8), kind, last, branch));
-    }
+    out.extend((0..inst.uops).map(|slot| decode_slot(inst, slot)));
+}
+
+/// The uop at `slot` of `inst`'s expansion (`decode(inst)[slot]`), built
+/// without the rest — for comparing stored uops against an instruction
+/// in place.
+///
+/// # Panics
+///
+/// Panics in debug builds if `slot` is not below `inst.uops`.
+#[inline]
+pub fn decode_slot(inst: &Inst, slot: u8) -> Uop {
+    debug_assert!(slot < inst.uops, "slot {slot} past a {}-uop instruction", inst.uops);
+    let last = slot + 1 == inst.uops;
+    let kind = uop_kind_for_slot(inst, slot as usize, last);
+    let branch = if last { inst.branch } else { BranchKind::None };
+    Uop::new(UopId::new(inst.ip, slot), kind, last, branch)
 }
 
 /// Number of uops `decode` will produce without materializing them.

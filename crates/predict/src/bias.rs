@@ -20,6 +20,7 @@ pub enum Bias {
 
 impl Bias {
     /// The direction as a bool (`true` = taken).
+    #[inline]
     pub const fn as_taken(self) -> bool {
         matches!(self, Bias::Taken)
     }
@@ -81,6 +82,7 @@ impl BiasCounter {
     }
 
     /// Applies one resolved direction.
+    #[inline]
     pub fn update(&mut self, taken: bool) {
         if taken {
             if self.value < Self::MAX {
@@ -94,6 +96,7 @@ impl BiasCounter {
 
     /// Reports the monotonic bias, if the branch qualifies (§3.8 thresholds
     /// after warm-up).
+    #[inline]
     pub fn bias(&self) -> Option<Bias> {
         if self.updates < Self::WARMUP {
             return None;

@@ -64,12 +64,14 @@ impl Btb {
     }
 
     /// Looks up the branch at `ip`, updating recency.
+    #[inline]
     pub fn lookup(&mut self, ip: Addr) -> Option<BtbEntry> {
         let (set, tag) = self.cache.split(ip.raw());
         self.cache.get(set, tag).copied()
     }
 
     /// Installs or refreshes the entry for the branch at `ip`.
+    #[inline]
     pub fn update(&mut self, ip: Addr, entry: BtbEntry) {
         let (set, tag) = self.cache.split(ip.raw());
         self.cache.insert(set, tag, entry);

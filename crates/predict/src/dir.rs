@@ -44,6 +44,7 @@ impl DirPredictor {
     }
 
     /// Predicts the direction of the conditional branch at `ip`.
+    #[inline]
     pub fn predict(&self, ip: Addr) -> bool {
         match self {
             DirPredictor::Gshare(p) => p.predict(ip),
@@ -55,6 +56,7 @@ impl DirPredictor {
 
     /// Updates with the resolved direction; returns whether the pre-update
     /// state predicted correctly.
+    #[inline]
     pub fn update(&mut self, ip: Addr, taken: bool) -> bool {
         match self {
             DirPredictor::Gshare(p) => p.update(ip, taken),
@@ -67,6 +69,7 @@ impl DirPredictor {
     /// Global path history for hashing indirect predictors; predictors
     /// without a global history register report 0 (degrading the XiBTB to
     /// a last-target table, which remains correct).
+    #[inline]
     pub fn history(&self) -> u64 {
         match self {
             DirPredictor::Gshare(p) => p.history(),

@@ -104,6 +104,7 @@ impl Gshare {
     /// recording accuracy against the prediction the current state makes.
     ///
     /// Returns `true` if the prediction was correct.
+    #[inline]
     pub fn update(&mut self, ip: Addr, taken: bool) -> bool {
         let idx = self.index(ip);
         let predicted = self.table[idx] >= 2;
@@ -130,6 +131,7 @@ impl Gshare {
 
     /// Current global history register value (for hashing in indirect
     /// predictors).
+    #[inline]
     pub fn history(&self) -> u64 {
         self.history
     }

@@ -41,6 +41,7 @@
 mod bench;
 mod cell;
 mod cli;
+mod fingerprint;
 mod inspect;
 mod report;
 mod spec;
@@ -49,12 +50,15 @@ mod sweep;
 pub use bench::{SweepBench, WorkerStat};
 pub use cell::{cached_row, plan_cells, replay_stored, Cell, ColdRun};
 pub use cli::HarnessArgs;
+pub use fingerprint::{
+    canary_fingerprint, canary_frontends, canary_traces, rows_hash, SIM_FINGERPRINT,
+};
 pub use inspect::render_inspect;
 pub use report::{average_bandwidth, average_miss_rate, pivot_table, rows_from_json, to_json, Row};
 pub use spec::FrontendSpec;
 pub use sweep::{
     map_traces_parallel, resolve_threads, result_key, run_checked, run_checked_oracle,
-    run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep, CODE_VERSION,
+    run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep,
 };
 /// The in-tree JSON parser (now hosted by `xbc-obs`; re-exported here
 /// for the sim-layer consumers that grew up with `xbc_sim::json`).

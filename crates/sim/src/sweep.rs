@@ -18,6 +18,7 @@
 
 use crate::bench::{SweepBench, WorkerStat};
 use crate::cell::{cached_row, plan_cells, ColdRun};
+use crate::fingerprint::SIM_FINGERPRINT;
 use crate::report::Row;
 use crate::spec::FrontendSpec;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -28,17 +29,14 @@ use xbc_obs::{jsonl, EventSink, NullSink, VecSink};
 use xbc_store::Store;
 use xbc_workload::{InstSource, Trace, TraceSpec};
 
-/// Bumped whenever simulator semantics change, so stale cached results
-/// are invalidated rather than silently replayed.
-pub const CODE_VERSION: u32 = 1;
-
 /// The result-cache key of one (trace, frontend, insts) cell: every
-/// input that determines the row, plus [`CODE_VERSION`]. Public so
-/// tests and tooling can address individual cells (e.g. to forge or
-/// evict an entry).
+/// input that determines the row, plus [`SIM_FINGERPRINT`], so a
+/// simulator that computes different rows reads none of the old ones.
+/// Public so tests and tooling can address individual cells (e.g. to
+/// forge or evict an entry).
 pub fn result_key(spec: &TraceSpec, fe: &FrontendSpec, insts: usize) -> String {
     format!(
-        "row|name={}|suite={}|seed={}|functions={}|insts={insts}|fe={}|code={CODE_VERSION}",
+        "row|name={}|suite={}|seed={}|functions={}|insts={insts}|fe={}|code={SIM_FINGERPRINT:016x}",
         spec.name,
         spec.suite,
         spec.seed,
@@ -108,8 +106,9 @@ pub struct Sweep {
     pub progress: bool,
     /// Verify accounting identities and structural invariants while
     /// simulating (default off). Checked runs produce *identical* rows —
-    /// the checks observe, they never perturb — so [`CODE_VERSION`] is
-    /// unaffected; cells replayed from the result cache are not re-run.
+    /// the checks observe, they never perturb — so they share the
+    /// unchecked rows' result keys; cells replayed from the result cache
+    /// are not re-run.
     pub check: bool,
     /// Write a cycle-level `xbc-events-v1` JSONL event stream for every
     /// cell to this path. Tracing bypasses the result cache (every cell

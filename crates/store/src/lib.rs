@@ -736,6 +736,7 @@ impl Store {
         let path = self.trace_path(spec, insts);
         let file = fs::File::open(&path).ok()?;
         let meta = file.metadata().ok()?;
+        let pin = file.try_clone().ok()?;
         // The decoder reads whole blocks, which bypass the BufReader's
         // own buffer; the wrapper stays because it is in the signature.
         let stream = match TraceStream::new(BufReader::new(file)) {
@@ -755,7 +756,7 @@ impl Store {
             self.evict_opened(&path, &meta, &why);
             return None;
         }
-        Some(OpenedStream { stream, path, meta })
+        Some(OpenedStream { stream, path, meta, _pin: pin })
     }
 
     fn count_trace_hit(&self, meta: &fs::Metadata) {
@@ -1129,6 +1130,11 @@ struct OpenedStream {
     stream: TraceStream<BufReader<fs::File>>,
     path: PathBuf,
     meta: fs::Metadata,
+    /// A second handle on the entry, held until the verdict is acted on:
+    /// while it is open the entry's inode stays allocated, so a
+    /// replacement another reader writes meanwhile cannot reuse the inode
+    /// number and pass [`same_file`] for the judged file.
+    _pin: fs::File,
 }
 
 /// How long after its last change an entry's timestamps can tell any

@@ -70,6 +70,7 @@ impl Decoder {
     }
 
     /// Resets the per-cycle budget.
+    #[inline]
     pub fn begin_cycle(&mut self) {
         self.insts_left = self.cfg.insts_per_cycle;
         self.uops_left = self.cfg.uops_per_cycle;
@@ -81,6 +82,7 @@ impl Decoder {
     /// instruction wider than `uops_per_cycle` is allowed only as the first
     /// instruction of a cycle (it then monopolizes the cycle), mirroring how
     /// real decoders sequence long flows through the microcode engine.
+    #[inline]
     pub fn try_consume(&mut self, inst: &Inst) -> bool {
         if self.insts_left == 0 {
             return false;

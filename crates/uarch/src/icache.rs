@@ -109,6 +109,7 @@ impl ICache {
     }
 
     /// Fetches the line containing `addr`, allocating it on a miss.
+    #[inline]
     pub fn fetch(&mut self, addr: Addr) -> IcAccess {
         let (set, tag) = self.set_and_tag(addr);
         if self.cache.get(set, tag).is_some() {
