@@ -5,20 +5,20 @@
 //! and a bootstrap 95% interval of that median ratio.
 //!
 //! ```text
-//! ab --base REV | --base-dir DIR  --workload NAME
+//! ab --base REV --workload NAME
 //!    [--pairs 10] [--seconds 20] [--first-seed 1001] [--work target/ab] [--out PATH]
 //! ```
 //!
 //! The base is exported with `git archive REV` into `<work>/base` (a plain
 //! copy: nothing is registered in `.git`, and a killed run leaves nothing
-//! behind but files), or taken as is from `--base-dir`. Each side is built
-//! once with `cargo build --release --offline` of its own
-//! `perfbench/Cargo.toml`, before any run is timed. Pair `i` runs seed
-//! `first-seed + i` on both sides, base first in even pairs and head first
-//! in odd ones, each run in a fresh working directory. A run that exits
-//! non-zero or does not report `"correct": true` is counted, and its pair
-//! is left out of the statistics. The table goes to stdout and, as JSON,
-//! to `--out` (default `results/BENCH_ab_<workload>.json`).
+//! behind but files). Each side is built once with `cargo build --release
+//! --offline` of its own `perfbench/Cargo.toml`, before any run is timed.
+//! Pair `i` runs seed `first-seed + i` on both sides, base first in even
+//! pairs and head first in odd ones, each run in a fresh working
+//! directory. A run that exits non-zero or does not report `"correct":
+//! true` is counted, and its pair is left out of the statistics. The
+//! table goes to stdout and, as JSON, to `--out` (default
+//! `results/BENCH_ab_<workload>.json`).
 //!
 //! On a shared host speed drifts over minutes, so only the pairing makes
 //! two builds comparable: never compare numbers from separate batches,
@@ -34,8 +34,7 @@ use xbc_workload::Rng64;
 const RESAMPLES: usize = 10_000;
 
 struct Args {
-    base: Option<String>,
-    base_dir: Option<PathBuf>,
+    base: String,
     workload: String,
     pairs: usize,
     seconds: f64,
@@ -46,8 +45,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut a = Args {
-        base: None,
-        base_dir: None,
+        base: String::new(),
         workload: String::new(),
         pairs: 10,
         seconds: 20.0,
@@ -60,8 +58,7 @@ fn parse_args() -> Result<Args, String> {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value:?}: {e}");
         match flag.as_str() {
-            "--base" => a.base = Some(value),
-            "--base-dir" => a.base_dir = Some(PathBuf::from(value)),
+            "--base" => a.base = value,
             "--workload" => a.workload = value,
             "--pairs" => a.pairs = value.parse().map_err(|e| bad(&e))?,
             "--seconds" => a.seconds = value.parse().map_err(|e| bad(&e))?,
@@ -74,8 +71,8 @@ fn parse_args() -> Result<Args, String> {
     if a.workload.is_empty() {
         return Err("name a --workload".into());
     }
-    if a.base.is_some() == a.base_dir.is_some() {
-        return Err("give exactly one of --base REV and --base-dir DIR".into());
+    if a.base.is_empty() {
+        return Err("name a --base revision".into());
     }
     if a.pairs == 0 {
         return Err("--pairs must be positive".into());
@@ -221,16 +218,9 @@ fn main() {
 
 fn ab(a: &Args) -> Result<(), String> {
     let head_dir = std::env::current_dir().map_err(|e| e.to_string())?;
-    let base_dir = match (&a.base, &a.base_dir) {
-        (Some(rev), _) => {
-            let dir = head_dir.join(&a.work).join("base");
-            eprintln!("ab: exporting {rev} into {}", dir.display());
-            export(rev, &dir)?;
-            dir
-        }
-        (None, Some(dir)) => dir.clone(),
-        (None, None) => unreachable!("parse_args requires a base"),
-    };
+    let base_dir = head_dir.join(&a.work).join("base");
+    eprintln!("ab: exporting {} into {}", a.base, base_dir.display());
+    export(&a.base, &base_dir)?;
     let better_higher = directions(&head_dir.join("BENCHMARK.json"))?;
     eprintln!("ab: building base and head perfbench");
     let bins = [build(&base_dir)?, build(&head_dir)?];
@@ -277,7 +267,7 @@ fn ab(a: &Args) -> Result<(), String> {
         a.seconds,
         a.first_seed,
         a.first_seed + a.pairs as u64 - 1,
-        a.base.as_deref().unwrap_or_else(|| base_dir.to_str().unwrap_or("?")),
+        a.base,
         head_dir.display()
     );
     println!(
@@ -348,7 +338,7 @@ fn ab(a: &Args) -> Result<(), String> {
             "  \"failures\": [{}],\n  \"metrics\": [\n{}\n  ]\n}}\n"
         ),
         quoted(&a.workload),
-        quoted(a.base.as_deref().unwrap_or_else(|| base_dir.to_str().unwrap_or("?"))),
+        quoted(&a.base),
         a.seconds,
         a.first_seed,
         pairs.len(),

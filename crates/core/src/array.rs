@@ -93,25 +93,6 @@ struct AssembleScratch {
 /// No line: the empty slot of a per-order lane table.
 const NO_LANE: u8 = u8::MAX;
 
-/// Entries of the recent-assembly cache (a power of two; 64 KiB).
-const RECENT_SLOTS: usize = 1024;
-
-/// Mask key of an unrestricted assembly in the recent-assembly cache.
-const UNRESTRICTED: u16 = 0x100;
-
-/// One recent-assembly cache entry: the unambiguous result of
-/// `assemble(set, tag, within)` while the set's structural generation
-/// was `generation`. One cache line.
-#[derive(Clone, Copy, Debug)]
-#[repr(align(64))]
-struct Recent {
-    generation: u64,
-    tag: u64,
-    set: u32,
-    mask_key: u16,
-    result: Option<Assembly>,
-}
-
 /// Outcome of one XB fetch attempt within a cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum XbFetch {
@@ -194,12 +175,6 @@ pub struct XbcArray {
     dynamic_placement: bool,
     stats: ArrayStats,
     scratch: AssembleScratch,
-    /// Per set: bumped by every change to one of its lines' tag, order or
-    /// uop count, which is all an unambiguous assembly depends on.
-    generation: Vec<u64>,
-    /// Direct-mapped cache of recent unambiguous assemblies, valid while
-    /// `generation` stands.
-    recent: Box<[Recent; RECENT_SLOTS]>,
 }
 
 impl XbcArray {
@@ -249,10 +224,6 @@ impl XbcArray {
             dynamic_placement: cfg.dynamic_placement,
             stats: ArrayStats::default(),
             scratch: AssembleScratch::default(),
-            generation: vec![1; sets],
-            recent: Box::new(
-                [Recent { generation: 0, tag: 0, set: 0, mask_key: 0, result: None }; RECENT_SLOTS],
-            ),
         }
     }
 
@@ -409,46 +380,15 @@ impl XbcArray {
     /// Allocation-free, and cheap in the common case (DESIGN.md §12): one
     /// compare scan of the set's tag lanes finds the candidates, and when
     /// no order has more than one of them the arrangement is a single
-    /// chain, walked directly. Such *unambiguous* results do not depend on
-    /// LRU stamps, so a direct-mapped cache keeps the recent ones until
-    /// their set next changes structurally; a hit reads one cache line
-    /// instead of the set's tag and meta lanes. Only ambiguous sets run
-    /// the search (over scratch buffers reused across calls).
+    /// chain, walked directly. Only ambiguous sets run the search (over
+    /// scratch buffers reused across calls).
     pub fn assemble(&mut self, set: usize, tag: u64, within: Option<BankMask>) -> Option<Assembly> {
-        let mask_key = within.map_or(UNRESTRICTED, |m| m.bits() as u16);
-        let slot =
-            ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize ^ set ^ mask_key as usize)
-                & (RECENT_SLOTS - 1);
-        let r = &self.recent[slot];
-        let generation = self.generation[set];
-        if r.generation == generation
-            && r.tag == tag
-            && r.set == set as u32
-            && r.mask_key == mask_key
-        {
-            return r.result;
-        }
-        let (result, unambiguous) = self.assemble_now(set, tag, within);
-        if unambiguous {
-            self.recent[slot] = Recent { generation, tag, set: set as u32, mask_key, result };
-        }
-        result
-    }
-
-    /// [`XbcArray::assemble`] computed from the lanes, and whether the
-    /// result is unambiguous (independent of LRU stamps).
-    fn assemble_now(
-        &mut self,
-        set: usize,
-        tag: u64,
-        within: Option<BankMask>,
-    ) -> (Option<Assembly>, bool) {
         let mut bits = self.match_lanes(set, tag);
         if let Some(w) = within {
             bits &= self.lane_mask_of(w);
         }
         if bits == 0 {
-            return (None, true);
+            return None;
         }
         let base = set * self.lanes;
         let mut by_order = [NO_LANE; MAX_BANKS];
@@ -462,7 +402,7 @@ impl XbcArray {
                     let mut scratch = std::mem::take(&mut self.scratch);
                     let result = self.assemble_in(set, tag, within, &mut scratch);
                     self.scratch = scratch;
-                    return (result, false);
+                    return result;
                 }
                 by_order[order] = lane as u8;
             }
@@ -486,7 +426,7 @@ impl XbcArray {
                 break;
             }
         }
-        ((!asm.lines.is_empty()).then_some(asm), true)
+        (!asm.lines.is_empty()).then_some(asm)
     }
 
     /// The scratch-buffer assembly: identical search to
@@ -685,9 +625,6 @@ impl XbcArray {
     /// promoted XB0's original location is first in line for eviction).
     pub fn demote_lru(&mut self, xb_ip: Addr) {
         let (set, tag) = self.set_and_tag(xb_ip);
-        // Conservative: only stamps change, which unambiguous assemblies
-        // do not depend on.
-        self.generation[set] += 1;
         let mut bits = self.match_lanes(set, tag);
         let base = set * self.lanes;
         while bits != 0 {
@@ -695,14 +632,6 @@ impl XbcArray {
             bits &= bits - 1;
             self.stamps[base + lane] = 0;
         }
-    }
-
-    /// The structural generation of `set` — bumped by every structural
-    /// mutation (insert, extend, evict, relocation, LRU demotion), which
-    /// is what retires the set's cached assemblies.
-    #[doc(hidden)] // Exposed for the differential tests only.
-    pub fn generation(&self, set: usize) -> u64 {
-        self.generation[set]
     }
 
     /// Validates that pointer `ptr` can be fetched: enough contiguous
@@ -821,7 +750,6 @@ impl XbcArray {
     /// Moves lane `src`'s tag, meta, stamp and arena region onto lane
     /// `dst` (overwriting it) and invalidates `src`.
     fn move_lane(&mut self, src: usize, dst: usize) {
-        self.generation[src / self.lanes] += 1;
         self.tags[dst] = self.tags[src];
         self.meta[dst] = self.meta[src];
         self.stamps[dst] = self.stamps[src];
@@ -951,7 +879,6 @@ impl XbcArray {
             return;
         }
         self.meta[idx] = 0;
-        self.generation[set] += 1;
         self.stats.evicted_lines += 1;
         let (tag, order) = (self.tags[idx], meta_order(m));
         // Invalidate same-tag lines with orders above the hole.
@@ -1016,7 +943,6 @@ impl XbcArray {
     /// Writes one whole line: tag/meta/stamp lanes plus the right-aligned
     /// arena region. `content` is the line's uops in program order.
     fn write_line(&mut self, idx: usize, tag: u64, order: u8, stamp: u64, content: &[Uop]) {
-        self.generation[idx / self.lanes] += 1;
         let l = self.line_uops;
         debug_assert!(!content.is_empty() && content.len() <= l);
         self.tags[idx] = tag;
@@ -1075,7 +1001,6 @@ impl XbcArray {
                 self.arena[idx * l + (l - new_count)..idx * l + (l - count)]
                     .copy_from_slice(&extra[src_hi - filled..src_hi]);
                 self.meta[idx] = meta_pack(meta_order(m), new_count, meta_conflicts(m));
-                self.generation[set] += 1;
             }
             self.stamps[idx] = stamp;
         }

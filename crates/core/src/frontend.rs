@@ -575,8 +575,8 @@ impl XbcFrontend {
             return EndAction::Stop;
         }
 
-        // One probe covers every same-entry access below (allocation — the
-        // only thing that can move entries — cannot happen mid-resolve).
+        // `entry` was probed before the fetch; only an allocation could
+        // move it, and none happens between that probe and this resolve.
         let src =
             entry.and_then(|(_, kind)| self.successor_source_of(kind, ptr.xb_ip, d_end.taken));
         let (next, consumed, mispredicted) = self.select_successor(ptr.xb_ip, entry, &d_end, probe);
@@ -874,7 +874,7 @@ impl XbcFrontend {
             let end_kind = XbEndKind::from_branch(end.inst.branch);
             // The XBTB entry comes first: its cache misses then overlap
             // the array's, and the install touches no XBTB state.
-            let slot = self.xbtb.allocate_slot(b.end_ip(), end_kind);
+            let slot = self.xbtb.allocate(b.end_ip(), end_kind);
             let avoid = if self.cfg.smart_placement { self.last_mask } else { BankMask::EMPTY };
             let evicted_before = self.array.stats().evicted_lines;
             let (ptr, kind) = install_with(b, &mut self.array, avoid, &mut self.install_scratch);

@@ -200,9 +200,9 @@ mod tests {
         use crate::ptr::XbPtr;
         use crate::xbtb::XbEndKind;
         let mut t = Xbtb::new(64);
-        let e = t.allocate(Addr::new(0x100), XbEndKind::Cond);
+        let slot = t.allocate(Addr::new(0x100), XbEndKind::Cond);
         // 9 uops need ceil(9/4) = 3 banks; a 1-bank mask cannot fetch them.
-        e.set_successor(
+        t.at_mut(slot).set_successor(
             true,
             XbPtr::new(Addr::new(0x200), Addr::new(0x1f8), BankMask::from_bits(0b0001), 9),
         );

@@ -269,17 +269,11 @@ impl Xbtb {
         Some(&mut self.pool[self.pool_idx[i] as usize])
     }
 
-    /// Returns the entry for `xb_ip`, allocating (and evicting the set's
-    /// LRU entry) if needed. An existing entry keeps its pointers but its
-    /// `kind` is refreshed.
-    pub fn allocate(&mut self, xb_ip: Addr, kind: XbEndKind) -> &mut XbtbEntry {
-        let slot = self.allocate_slot(xb_ip, kind);
-        self.at_mut(slot)
-    }
-
-    /// [`Xbtb::allocate`], returning the entry's slot (valid until the
-    /// next allocation) instead of a borrow.
-    pub(crate) fn allocate_slot(&mut self, xb_ip: Addr, kind: XbEndKind) -> u32 {
+    /// Returns the slot of the entry for `xb_ip` (valid until the next
+    /// allocation; see [`Xbtb::at_mut`]), allocating (and evicting the
+    /// set's LRU entry) if needed. An existing entry keeps its pointers but
+    /// its `kind` is refreshed.
+    pub fn allocate(&mut self, xb_ip: Addr, kind: XbEndKind) -> u32 {
         self.stamp += 1;
         let stamp = self.stamp;
         let i = match self.find(xb_ip) {
@@ -417,8 +411,8 @@ mod tests {
     #[test]
     fn allocate_then_hit() {
         let mut t = Xbtb::new(64);
-        let e = t.allocate(Addr::new(0x100), XbEndKind::Cond);
-        e.set_successor(true, ptr(0x200));
+        let slot = t.allocate(Addr::new(0x100), XbEndKind::Cond);
+        t.at_mut(slot).set_successor(true, ptr(0x200));
         let got = t.get(Addr::new(0x100)).unwrap();
         assert_eq!(got.kind, XbEndKind::Cond);
         assert_eq!(got.successor(true).unwrap().xb_ip, Addr::new(0x200));
@@ -445,9 +439,10 @@ mod tests {
     #[test]
     fn reallocate_keeps_pointers_refreshes_kind() {
         let mut t = Xbtb::new(64);
-        t.allocate(Addr::new(0x10), XbEndKind::Cond).set_successor(false, ptr(0x300));
-        let e = t.allocate(Addr::new(0x10), XbEndKind::Cond);
-        assert_eq!(e.not_taken.unwrap().xb_ip, Addr::new(0x300));
+        let slot = t.allocate(Addr::new(0x10), XbEndKind::Cond);
+        t.at_mut(slot).set_successor(false, ptr(0x300));
+        let slot = t.allocate(Addr::new(0x10), XbEndKind::Cond);
+        assert_eq!(t.at(slot).not_taken.unwrap().xb_ip, Addr::new(0x300));
         assert_eq!(t.stats().allocations, 1, "same identity does not re-allocate");
     }
 
